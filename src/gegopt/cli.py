@@ -68,7 +68,6 @@ class RunConfig:
     out: Path | None = None
     eval_grid: int = 101
     dump_matrices: bool = False
-    seed: int | None = None  # reserved; every stage is deterministic
 
     def cells(self) -> list[tuple[int, int, float]]:
         """Deterministic cell list, sorted by grid size then alpha."""
@@ -361,7 +360,6 @@ def run_sweep(config: RunConfig) -> tuple[list[RunRecord], dict[tuple[int, int, 
             "sweep": config.sweep,
             "eval_grid": config.eval_grid,
             "dump_matrices": config.dump_matrices,
-            "seed": config.seed,
             "version": __version__,
         }
         (out / "config.json").write_text(json.dumps(echo, indent=2) + "\n")
@@ -434,7 +432,6 @@ def _build_parser() -> _Parser:
         "--dump-matrices", action="store_true",
         help="also write the assembled QP matrices per cell",
     )
-    parser.add_argument("--seed", type=int, default=None, help="reserved (runs are deterministic)")
     return parser
 
 
@@ -455,7 +452,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             out=args.out,
             eval_grid=args.eval_grid,
             dump_matrices=args.dump_matrices,
-            seed=args.seed,
         )
         config.cells()  # validate cell construction before doing any work
         records, _ = run_sweep(config)

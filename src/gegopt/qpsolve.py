@@ -6,26 +6,35 @@ The first-order optimality conditions form the symmetric saddle system
     [2Q  H'] [Z     ]   [-c]
     [H   0 ] [lambda] = [ b].
 
-The system is solved through a dense singular-value factorization with one
-step of iterative refinement, returning the minimum-norm solution.  That
-choice is deliberate: the transcribed programs carry a structural
-degeneracy — the boundary values of phi and u enter every constraint and
-the cost only through their sum, so splitting that sum is free — which
-makes the saddle matrix singular but consistent.  The minimum-norm solution
-fixes the split deterministically and agrees with a null-space elimination
-started from the minimum-norm feasible point.
+The transcribed programs carry a structural degeneracy: at every time node
+the boundary values of phi and u enter H, Q and c only through their sum,
+so splitting that sum is free and the saddle matrix is singular but
+consistent.  The transcription declares those column pairs
+(`DiscreteQp.split_pairs`).  The solver checks that each declared pair is a
+null direction, merges it into one unknown s, factors the smaller,
+nonsingular saddle matrix once by LU, takes one step of iterative
+refinement, and writes back the even split s/2, s/2.  That is the
+minimum-norm solution of the unmerged system.
+
+A program whose merged saddle matrix is still numerically singular (LAPACK
+reciprocal condition estimate at most dim * eps), i.e. one with a null
+space it did not declare, falls back to a dense singular-value
+factorization, which returns the minimum-norm solution.
 
 Rank deficiency of the constraint rows themselves (a genuinely
-overdetermined or duplicated constraint set) is an error and aborts; an
-inconsistent saddle system likewise aborts rather than silently returning a
-least-squares compromise.
+overdetermined or duplicated constraint set, found by column-pivoted QR of
+H') is an error and aborts; an inconsistent saddle system likewise aborts
+rather than silently returning a least-squares compromise.  Residual and
+feasibility are checked on the full, unmerged system.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve, qr
 
 from .transcribe import DiscreteQp
 
@@ -54,7 +63,7 @@ class RankDeficientError(ValueError):
         self.scale = scale
         super().__init__(
             f"constraint matrix is rank deficient by {deficiency} "
-            f"(smallest singular value {scale:.3e})"
+            f"(smallest pivot {scale:.3e})"
         )
 
 
@@ -108,6 +117,37 @@ def _min_norm_solve(k: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float, 
     return x, cond, k.shape[0] - rank
 
 
+def _split_pairs(qp: DiscreteQp) -> np.ndarray:
+    """Declared split pairs as a (k, 2) array, after checking that H, Q and
+    c cannot tell the two columns of any pair apart."""
+    pairs = np.asarray(qp.split_pairs, dtype=int).reshape(-1, 2)
+    if np.unique(pairs).size != pairs.size:
+        raise ValueError("split pairs must name distinct columns")
+    first, second = pairs.T
+    same = (
+        np.all(qp.H[:, first] == qp.H[:, second], axis=0)
+        & np.all(qp.Q[:, first] == qp.Q[:, second], axis=0)
+        & (qp.c[first] == qp.c[second])
+    )
+    if not np.all(same):
+        bad = tuple(int(i) for i in pairs[np.argmin(same)])
+        raise ValueError(f"declared split pair {bad} is not a null direction")
+    return pairs
+
+
+def _saddle(q: np.ndarray, h: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Saddle matrix over the kept columns, built without the full one.
+    Fortran order lets LAPACK factor it in place."""
+    nk, n_rows = keep.size, h.shape[0]
+    kkt = np.zeros((nk + n_rows, nk + n_rows), order="F")
+    kkt[:nk, :nk] = q[np.ix_(keep, keep)]
+    kkt[:nk, :nk] *= 2.0
+    h_keep = h[:, keep]
+    kkt[:nk, nk:] = h_keep.T
+    kkt[nk:, :nk] = h_keep
+    return kkt
+
+
 def solve(qp: DiscreteQp) -> QpSolution:
     """Solve the QP; returns the minimum-norm first-order optimal point."""
     h, b, q, c = qp.H, qp.b, qp.Q, qp.c
@@ -119,33 +159,57 @@ def solve(qp: DiscreteQp) -> QpSolution:
         raise ValueError("cost matrix must be symmetric")
     n_rows = h.shape[0]
     if n_rows > 0:
-        s_h = np.linalg.svd(h, compute_uv=False)
-        tol = RANK_TOL * float(np.max(np.abs(h)))
-        rank_h = int(np.count_nonzero(s_h > tol))
+        # Column-pivoted QR of H' orders |R_kk| from largest to smallest.
+        pivots = np.abs(np.diag(qr(h.T, mode="r", pivoting=True)[0]))
+        rank_h = int(np.count_nonzero(pivots > RANK_TOL * float(np.max(np.abs(h)))))
         if rank_h < n_rows:
-            raise RankDeficientError(n_rows - rank_h, float(s_h[-1]))
+            raise RankDeficientError(n_rows - rank_h, float(pivots[-1]) if pivots.size else 0.0)
 
     n = q.shape[0]
-    kkt = np.zeros((n + n_rows, n + n_rows))
-    kkt[:n, :n] = 2.0 * q
-    kkt[:n, n:] = h.T
-    kkt[n:, :n] = h
-    rhs = np.concatenate([-c, b])
-    sol, cond, deficiency = _min_norm_solve(kkt, rhs)
+    pairs = _split_pairs(qp)
+    first, second = pairs.T
+    keep = np.delete(np.arange(n), second)
+    merged_rows = np.concatenate([keep, n + np.arange(n_rows)])
 
-    residual = kkt @ sol - rhs
+    def unmerge(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        z = np.zeros(n)
+        z[keep] = x[: keep.size]
+        z[second] = z[first] = 0.5 * z[first]
+        return z, x[keep.size :]
+
+    def residual(z: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """Residual of the full saddle system: stationarity, then constraints."""
+        return np.concatenate([2.0 * q @ z + c + h.T @ lam, h @ z - b])
+
+    rhs = np.concatenate([-c[keep], b])
+    kkt = _saddle(q, h, keep)
+    anorm = float(np.abs(kkt).sum(axis=0).max(initial=0.0))
+    with warnings.catch_warnings():
+        # An exact zero pivot is caught below as rcond = 0.
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu = lu_factor(kkt, overwrite_a=True, check_finite=False)
+    rcond = float(lapack.dgecon(lu[0], anorm)[0]) if kkt.size else 0.0
+    if rcond > kkt.shape[0] * np.finfo(float).eps:
+        x = lu_solve(lu, rhs, check_finite=False)
+        x = x - lu_solve(lu, residual(*unmerge(x))[merged_rows], check_finite=False)
+        cond, deficiency = 1.0 / rcond, len(pairs)
+    else:
+        x, cond, undeclared = _min_norm_solve(_saddle(q, h, keep), rhs)
+        deficiency = len(pairs) + undeclared
+    z, lam = unmerge(x)
+
+    res = residual(z, lam)
     rhs_scale = max(1.0, float(np.max(np.abs(rhs)))) if rhs.size else 1.0
-    if float(np.max(np.abs(residual), initial=0.0)) > 1e-7 * rhs_scale:
+    if float(np.max(np.abs(res), initial=0.0)) > 1e-7 * rhs_scale:
         raise SolveError(
             "saddle system is inconsistent "
-            f"(residual {float(np.max(np.abs(residual))):.3e})"
+            f"(residual {float(np.max(np.abs(res))):.3e})"
         )
-    z, lam = sol[:n], sol[n:]
-    feasibility = float(np.max(np.abs(h @ z - b), initial=0.0))
+    feasibility = float(np.max(np.abs(res[n:]), initial=0.0))
     b_scale = max(1.0, float(np.max(np.abs(b)))) if b.size else 1.0
     if feasibility > FEASIBILITY_TOL * b_scale:
         raise SolveError(f"constraints violated beyond tolerance ({feasibility:.3e})")
-    stationarity = float(np.max(np.abs(2.0 * q @ z + c + h.T @ lam), initial=0.0))
+    stationarity = float(np.max(np.abs(res[:n]), initial=0.0))
     j = float(z @ q @ z + c @ z + qp.j0)
     return QpSolution(
         z=z,

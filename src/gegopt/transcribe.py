@@ -135,7 +135,11 @@ class GridIndexMap:
 
 @dataclass(frozen=True)
 class DiscreteQp:
-    """Equality-constrained QP: minimize Z' Q Z + c' Z + j0 over H Z = b."""
+    """Equality-constrained QP: minimize Z' Q Z + c' Z + j0 over H Z = b.
+
+    split_pairs lists column pairs (a, b) that enter H, Q and c only through
+    Z[a] + Z[b]; each is a free null direction of the saddle system.
+    """
 
     H: np.ndarray
     b: np.ndarray
@@ -143,6 +147,7 @@ class DiscreteQp:
     c: np.ndarray
     j0: float
     grid: GridIndexMap
+    split_pairs: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -256,17 +261,15 @@ def assemble_cost(
 
     The running cost is integrated by the full-interval rows in both
     coordinates; the state enters through the affine recovery map, so
-    Q = r1 M' W M + r2 S' W S with W the tensor quadrature weight.
+    Q = r1 M' W M + r2 S' W S with W the tensor quadrature weight.  S
+    selects the interior u values, so S' W S is diagonal and is added in
+    place.
     """
     m, fbar = state_map(ocp, grid, y_nodes, op_t1)
     w = np.kron(full_row_t, full_row_y)
-    rows = grid.n_collocation + 1
-    sel = np.zeros((rows, grid.n_unknowns))
-    offset = grid.block_size
-    for l in range(grid.n_t + 1):
-        for k in range(grid.n_y + 1):
-            sel[k + l * (grid.n_y + 1), offset + grid.index(k, l)] = 1.0
-    q = ocp.r1 * (m.T @ (w[:, None] * m)) + ocp.r2 * (sel.T @ (w[:, None] * sel))
+    q = ocp.r1 * (m.T @ (w[:, None] * m))
+    u_interior = grid.block_size + grid.interior_by_time
+    q[u_interior, u_interior] += ocp.r2 * w
     q = 0.5 * (q + q.T)
     c = 2.0 * ocp.r1 * (m.T @ (w * fbar))
     j0 = ocp.r1 * float(w @ fbar**2)
@@ -352,7 +355,10 @@ def build(ocp: DiffusionOcp, rule_y: QuadratureRule, rule_t: QuadratureRule) -> 
     q, c, j0 = assemble_cost(
         ocp, grid, rule_y.nodes, op_t1, op_y1.full_interval_row, op_t1.full_interval_row
     )
-    qp = DiscreteQp(H=h, b=b, Q=q, c=c, j0=j0, grid=grid)
+    # phi and u at y = 0 enter only through their sum (see assemble_dynamics).
+    boundary = grid.index(grid.n_y + 1, np.arange(grid.n_t + 1))
+    pairs = tuple((int(p), int(grid.block_size + p)) for p in boundary)
+    qp = DiscreteQp(H=h, b=b, Q=q, c=c, j0=j0, grid=grid, split_pairs=pairs)
     return Transcription(
         ocp=ocp,
         grid=grid,

@@ -11,14 +11,17 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import solve_reference_cell, reference_ocp
 
+import gegopt
 from gegopt.cli import (
     ConfigError,
     RunConfig,
@@ -264,11 +267,14 @@ class TestExitCodes:
         assert "J=" in out
 
     def test_module_entry_point(self):
+        # The child does not inherit sys.path; point it at the gegopt under test.
+        package_root = Path(gegopt.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-m", "gegopt", "--help"],
             capture_output=True,
             text=True,
             check=False,
+            env=dict(os.environ, PYTHONPATH=str(package_root)),
         )
         assert proc.returncode == 0
         assert "--alpha" in proc.stdout

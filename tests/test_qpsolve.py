@@ -7,6 +7,8 @@ elimination built from scipy.linalg.null_space and least squares.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import lstsq, null_space
@@ -168,6 +170,44 @@ class TestTranscribedStructure:
         sol = solve(reference_qp(4))
         assert sol.feasibility < 1e-10
         assert sol.kkt_residual < 1e-8
+
+
+class TestDeclaredSplit:
+    @pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.5])
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_merged_lu_matches_svd_fallback(self, n, alpha):
+        """Without declared pairs the singular saddle matrix takes the SVD
+        minimum-norm route; merging the pairs must give the same answer."""
+        qp = reference_qp(n, alpha)
+        merged = solve(qp)
+        fallback = solve(dataclasses.replace(qp, split_pairs=()))
+        np.testing.assert_allclose(merged.z, fallback.z, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(merged.multipliers, fallback.multipliers, rtol=0, atol=1e-12)
+        assert merged.j == pytest.approx(fallback.j, rel=0, abs=1e-12)
+        assert merged.kkt_rank_deficiency == fallback.kkt_rank_deficiency == n + 1
+
+    def test_pair_that_is_not_a_null_direction_rejected(self):
+        qp = reference_qp(3)
+        phi0, _ = qp.split_pairs[1]
+        h = qp.H.copy()
+        h[:, phi0] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="not a null direction"):
+            solve(dataclasses.replace(qp, H=h))
+
+    def test_pair_sharing_a_column_rejected(self):
+        qp = reference_qp(3)
+        phi0, u0 = qp.split_pairs[0]
+        with pytest.raises(ValueError, match="distinct"):
+            solve(dataclasses.replace(qp, split_pairs=((phi0, u0), (u0, phi0))))
+
+    def test_transcribed_solve_needs_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        sol = solve(reference_qp(6))
+        assert sol.kkt_rank_deficiency == 7
+        assert sol.feasibility < 1e-10
 
 
 class TestDiagnostics:
