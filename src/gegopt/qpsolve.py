@@ -6,35 +6,34 @@ The first-order optimality conditions form the symmetric saddle system
     [2Q  H'] [Z     ]   [-c]
     [H   0 ] [lambda] = [ b].
 
-The transcribed programs carry a structural degeneracy: at every time node
-the boundary values of phi and u enter H, Q and c only through their sum,
-so splitting that sum is free and the saddle matrix is singular but
-consistent.  The transcription declares those column pairs
-(`DiscreteQp.split_pairs`).  The solver checks that each declared pair is a
-null direction, merges it into one unknown s, factors the smaller,
-nonsingular saddle matrix once by LU, takes one step of iterative
-refinement, and writes back the even split s/2, s/2.  That is the
-minimum-norm solution of the unmerged system.
+Unknowns whose columns of H, Q and c agree to within round-off enter the
+program only through their sum, so splitting that sum is free and the
+saddle matrix is singular but consistent.  The transcribed programs carry
+one such pair per time node: the boundary values of phi and u at y = 0.
+The solver finds these groups of equal columns itself, merges each group
+into one unknown s, solves the smaller, nonsingular saddle system by dense
+LU with one step of iterative refinement, and gives each of the k members
+of a group the value s / k.  That is the minimum-norm solution, and it
+agrees with a null-space elimination started from the minimum-norm
+feasible point.
 
-A program whose merged saddle matrix is still numerically singular (LAPACK
-reciprocal condition estimate at most dim * eps), i.e. one with a null
-space it did not declare, falls back to a dense singular-value
-factorization, which returns the minimum-norm solution.
-
-Rank deficiency of the constraint rows themselves (a genuinely
-overdetermined or duplicated constraint set, found by column-pivoted QR of
-H') is an error and aborts; an inconsistent saddle system likewise aborts
+A program whose merged saddle matrix is still singular, or whose condition
+estimate reaches 1 / (dim * eps), has a null space that equal columns do
+not explain.  It falls back to a dense singular-value factorization of the
+full saddle matrix, which returns the minimum-norm solution.  Only that
+branch checks the constraint rows for rank deficiency: a nonsingular merged
+matrix already implies that H has full row rank.  Rank-deficient
+constraint rows (a genuinely overdetermined or duplicated constraint set)
+are an error and abort; an inconsistent saddle system likewise aborts
 rather than silently returning a least-squares compromise.  Residual and
 feasibility are checked on the full, unmerged system.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve, qr
 
 from .transcribe import DiscreteQp
 
@@ -54,6 +53,8 @@ RANK_TOL = 1e-10
 #: Feasibility must come out no worse than this times max(1, |b|_inf).
 FEASIBILITY_TOL = 1e-8
 
+_EPS = float(np.finfo(float).eps)
+
 
 class RankDeficientError(ValueError):
     """Constraint rows are numerically dependent."""
@@ -63,7 +64,7 @@ class RankDeficientError(ValueError):
         self.scale = scale
         super().__init__(
             f"constraint matrix is rank deficient by {deficiency} "
-            f"(smallest pivot {scale:.3e})"
+            f"(smallest singular value {scale:.3e})"
         )
 
 
@@ -117,35 +118,72 @@ def _min_norm_solve(k: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float, 
     return x, cond, k.shape[0] - rank
 
 
-def _split_pairs(qp: DiscreteQp) -> np.ndarray:
-    """Declared split pairs as a (k, 2) array, after checking that H, Q and
-    c cannot tell the two columns of any pair apart."""
-    pairs = np.asarray(qp.split_pairs, dtype=int).reshape(-1, 2)
-    if np.unique(pairs).size != pairs.size:
-        raise ValueError("split pairs must name distinct columns")
-    first, second = pairs.T
-    same = (
-        np.all(qp.H[:, first] == qp.H[:, second], axis=0)
-        & np.all(qp.Q[:, first] == qp.Q[:, second], axis=0)
-        & (qp.c[first] == qp.c[second])
-    )
-    if not np.all(same):
-        bad = tuple(int(i) for i in pairs[np.argmin(same)])
-        raise ValueError(f"declared split pair {bad} is not a null direction")
-    return pairs
+def _equal_columns(h: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Representative of every unknown: the smallest index whose H column,
+    Q column and c entry agree with its own.
+
+    Entries agree when they differ by at most 8 eps times the largest entry
+    of their array (at least 1).  A fixed random projection of the columns,
+    sorted, brings candidates next to each other; only runs of projections
+    that lie within the round-off of each other are compared entry by entry.
+    """
+    arrays = (h, q, c[None, :])
+    scales = [max(1.0, float(np.max(np.abs(a), initial=0.0))) for a in arrays]
+    rng = np.random.default_rng(0)
+    weights = [rng.uniform(-1.0, 1.0, a.shape[0]) for a in arrays]
+    proj = sum(w @ a for w, a in zip(weights, arrays))
+    rows = sum(a.shape[0] for a in arrays)
+    slack = 2.0 * (rows + 8) * _EPS * sum(np.abs(w).sum() * s for w, s in zip(weights, scales))
+
+    def agree(i: int, j: int) -> bool:
+        return all(
+            float(np.max(np.abs(a[:, i] - a[:, j]), initial=0.0)) <= 8.0 * _EPS * s
+            for a, s in zip(arrays, scales)
+        )
+
+    rep = np.arange(q.shape[0])
+    order = np.argsort(proj, kind="stable")
+    for run in np.split(order, np.flatnonzero(np.diff(proj[order]) > slack) + 1):
+        anchors: list[int] = []
+        for i in np.sort(run):
+            match = next((a for a in anchors if agree(a, i)), None)
+            if match is None:
+                anchors.append(int(i))
+            else:
+                rep[i] = match
+    return rep
 
 
 def _saddle(q: np.ndarray, h: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Saddle matrix over the kept columns, built without the full one.
-    Fortran order lets LAPACK factor it in place."""
+    """Saddle matrix over the kept columns, built without the full one."""
     nk, n_rows = keep.size, h.shape[0]
-    kkt = np.zeros((nk + n_rows, nk + n_rows), order="F")
+    kkt = np.zeros((nk + n_rows, nk + n_rows))
     kkt[:nk, :nk] = q[np.ix_(keep, keep)]
     kkt[:nk, :nk] *= 2.0
     h_keep = h[:, keep]
     kkt[:nk, nk:] = h_keep.T
     kkt[nk:, :nk] = h_keep
     return kkt
+
+
+def _lu_solve(k: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """Solve the symmetric system k x = rhs by LU with one refinement step.
+
+    Returns (x, condition estimate); a singular k gives (None, inf).  The
+    estimate is |k|_1 times two steps of Hager's estimator for |k^-1|_1
+    (|k^-1 e/dim|_1 and |k^-1 sign(k^-1 e)|_inf, both lower bounds for a
+    symmetric k), carried as extra right-hand sides of the two solves.
+    """
+    dim = k.shape[0]
+    try:
+        x, probe = np.linalg.solve(k, np.column_stack([rhs, np.full(dim, 1.0 / max(dim, 1))])).T
+        step, back = np.linalg.solve(
+            k, np.column_stack([k @ x - rhs, np.where(probe < 0.0, -1.0, 1.0)])
+        ).T
+    except np.linalg.LinAlgError:
+        return None, np.inf
+    inv_norm = max(float(np.abs(probe).sum()), float(np.max(np.abs(back), initial=0.0)))
+    return x - step, float(np.abs(k).sum(axis=0).max(initial=0.0)) * inv_norm
 
 
 def solve(qp: DiscreteQp) -> QpSolution:
@@ -157,59 +195,42 @@ def solve(qp: DiscreteQp) -> QpSolution:
     scale_q = max(1.0, float(np.max(np.abs(q)))) if q.size else 1.0
     if q.size and float(np.max(np.abs(q - q.T))) > 1e-12 * scale_q:
         raise ValueError("cost matrix must be symmetric")
-    n_rows = h.shape[0]
-    if n_rows > 0:
-        # Column-pivoted QR of H' orders |R_kk| from largest to smallest.
-        pivots = np.abs(np.diag(qr(h.T, mode="r", pivoting=True)[0]))
-        rank_h = int(np.count_nonzero(pivots > RANK_TOL * float(np.max(np.abs(h)))))
-        if rank_h < n_rows:
-            raise RankDeficientError(n_rows - rank_h, float(pivots[-1]) if pivots.size else 0.0)
 
     n = q.shape[0]
-    pairs = _split_pairs(qp)
-    first, second = pairs.T
-    keep = np.delete(np.arange(n), second)
-    merged_rows = np.concatenate([keep, n + np.arange(n_rows)])
-
-    def unmerge(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = np.zeros(n)
-        z[keep] = x[: keep.size]
-        z[second] = z[first] = 0.5 * z[first]
-        return z, x[keep.size :]
-
-    def residual(z: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """Residual of the full saddle system: stationarity, then constraints."""
-        return np.concatenate([2.0 * q @ z + c + h.T @ lam, h @ z - b])
-
-    rhs = np.concatenate([-c[keep], b])
+    rep = _equal_columns(h, q, c)
+    keep = np.flatnonzero(rep == np.arange(n))
     kkt = _saddle(q, h, keep)
-    anorm = float(np.abs(kkt).sum(axis=0).max(initial=0.0))
-    with warnings.catch_warnings():
-        # An exact zero pivot is caught below as rcond = 0.
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu = lu_factor(kkt, overwrite_a=True, check_finite=False)
-    rcond = float(lapack.dgecon(lu[0], anorm)[0]) if kkt.size else 0.0
-    if rcond > kkt.shape[0] * np.finfo(float).eps:
-        x = lu_solve(lu, rhs, check_finite=False)
-        x = x - lu_solve(lu, residual(*unmerge(x))[merged_rows], check_finite=False)
-        cond, deficiency = 1.0 / rcond, len(pairs)
+    x, cond = _lu_solve(kkt, np.concatenate([-c[keep], b]))
+    if cond * kkt.shape[0] * _EPS < 1.0:
+        # Every member of a group of equal columns takes an equal share.
+        share = np.bincount(rep, minlength=n)[rep]
+        z, lam = x[np.searchsorted(keep, rep)] / share, x[keep.size :]
+        deficiency = n - keep.size
     else:
-        x, cond, undeclared = _min_norm_solve(_saddle(q, h, keep), rhs)
-        deficiency = len(pairs) + undeclared
-    z, lam = unmerge(x)
-
-    res = residual(z, lam)
-    rhs_scale = max(1.0, float(np.max(np.abs(rhs)))) if rhs.size else 1.0
-    if float(np.max(np.abs(res), initial=0.0)) > 1e-7 * rhs_scale:
-        raise SolveError(
-            "saddle system is inconsistent "
-            f"(residual {float(np.max(np.abs(res))):.3e})"
+        del kkt
+        n_rows = h.shape[0]
+        if n_rows > 0:
+            s_h = np.linalg.svd(h, compute_uv=False)
+            rank_h = int(np.count_nonzero(s_h > RANK_TOL * float(np.max(np.abs(h)))))
+            if rank_h < n_rows:
+                raise RankDeficientError(n_rows - rank_h, float(s_h[-1]))
+        x, cond, deficiency = _min_norm_solve(
+            _saddle(q, h, np.arange(n)), np.concatenate([-c, b])
         )
-    feasibility = float(np.max(np.abs(res[n:]), initial=0.0))
+        z, lam = x[:n], x[n:]
+
+    # Residual of the full saddle system: stationarity, then constraints.
+    res = np.abs(np.concatenate([2.0 * q @ z + c + h.T @ lam, h @ z - b]))
+    rhs_scale = max(1.0, float(np.max(np.abs(np.concatenate([c, b])), initial=0.0)))
+    if float(np.max(res, initial=0.0)) > 1e-7 * rhs_scale:
+        raise SolveError(
+            f"saddle system is inconsistent (residual {float(np.max(res)):.3e})"
+        )
+    feasibility = float(np.max(res[n:], initial=0.0))
     b_scale = max(1.0, float(np.max(np.abs(b)))) if b.size else 1.0
     if feasibility > FEASIBILITY_TOL * b_scale:
         raise SolveError(f"constraints violated beyond tolerance ({feasibility:.3e})")
-    stationarity = float(np.max(np.abs(res[:n]), initial=0.0))
+    stationarity = float(np.max(res[:n], initial=0.0))
     j = float(z @ q @ z + c @ z + qp.j0)
     return QpSolution(
         z=z,

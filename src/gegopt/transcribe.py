@@ -135,11 +135,7 @@ class GridIndexMap:
 
 @dataclass(frozen=True)
 class DiscreteQp:
-    """Equality-constrained QP: minimize Z' Q Z + c' Z + j0 over H Z = b.
-
-    split_pairs lists column pairs (a, b) that enter H, Q and c only through
-    Z[a] + Z[b]; each is a free null direction of the saddle system.
-    """
+    """Equality-constrained QP: minimize Z' Q Z + c' Z + j0 over H Z = b."""
 
     H: np.ndarray
     b: np.ndarray
@@ -147,7 +143,6 @@ class DiscreteQp:
     c: np.ndarray
     j0: float
     grid: GridIndexMap
-    split_pairs: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -355,10 +350,7 @@ def build(ocp: DiffusionOcp, rule_y: QuadratureRule, rule_t: QuadratureRule) -> 
     q, c, j0 = assemble_cost(
         ocp, grid, rule_y.nodes, op_t1, op_y1.full_interval_row, op_t1.full_interval_row
     )
-    # phi and u at y = 0 enter only through their sum (see assemble_dynamics).
-    boundary = grid.index(grid.n_y + 1, np.arange(grid.n_t + 1))
-    pairs = tuple((int(p), int(grid.block_size + p)) for p in boundary)
-    qp = DiscreteQp(H=h, b=b, Q=q, c=c, j0=j0, grid=grid, split_pairs=pairs)
+    qp = DiscreteQp(H=h, b=b, Q=q, c=c, j0=j0, grid=grid)
     return Transcription(
         ocp=ocp,
         grid=grid,

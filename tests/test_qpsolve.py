@@ -16,6 +16,7 @@ from scipy.linalg import lstsq, null_space
 from gegopt.polycore import BasisSpec
 from gegopt.nodes import sgg_rule
 from gegopt.transcribe import DiffusionOcp, DiscreteQp, GridIndexMap, build
+from gegopt import qpsolve
 from gegopt.qpsolve import (
     QpSolution,
     RankDeficientError,
@@ -146,6 +147,17 @@ class TestNullSpaceOracle:
         assert sol.j == pytest.approx(j_ref, abs=1e-8)
         np.testing.assert_allclose(sol.multipliers, lam_ref, atol=1e-7)
 
+    @pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.5])
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_transcribed_programs_across_alpha(self, n, alpha):
+        qp = reference_qp(n, alpha)
+        sol = solve(qp)
+        z_ref, lam_ref, j_ref = null_space_oracle(qp)
+        np.testing.assert_allclose(sol.z, z_ref, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(sol.multipliers, lam_ref, rtol=0, atol=1e-12)
+        assert sol.j == pytest.approx(j_ref, rel=0, abs=1e-12)
+        assert sol.kkt_rank_deficiency == n + 1
+
 
 class TestTranscribedStructure:
     @pytest.mark.parametrize("n", [3, 4])
@@ -172,33 +184,56 @@ class TestTranscribedStructure:
         assert sol.kkt_residual < 1e-8
 
 
-class TestDeclaredSplit:
+class TestEqualColumns:
+    """Columns that H, Q and c cannot tell apart are merged before the LU
+    solve and share their sum evenly; anything else singular goes to the
+    SVD fallback on the full saddle matrix."""
+
+    def test_three_equal_columns_share_evenly(self):
+        sol = solve(toy_qp([[1.0, 1.0, 1.0]], [1.0], np.zeros((3, 3)), np.zeros(3)))
+        np.testing.assert_allclose(sol.z, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+        np.testing.assert_allclose(sol.multipliers, [0.0], atol=1e-15)
+        assert sol.kkt_rank_deficiency == 2
+
+    def test_equal_columns_with_further_null_direction(self):
+        """The minimum-norm point of the full program, (1, 1, 2) / 3, not the
+        even split of the merged program's minimum-norm point, (1, 1, 4) / 5."""
+        sol = solve(toy_qp([[1.0, 1.0, 2.0]], [2.0], np.zeros((3, 3)), np.zeros(3)))
+        np.testing.assert_allclose(sol.z, [1 / 3, 1 / 3, 2 / 3], atol=1e-14)
+        assert sol.kkt_rank_deficiency == 2
+
+    def test_round_off_differences_still_merged(self, monkeypatch):
+        qp = reference_qp(4)
+        pos = int(qp.grid.block_size + qp.grid.index(qp.grid.n_y + 1, 2))
+        h, q = qp.H.copy(), qp.Q.copy()
+        h[:, pos] = np.nextafter(h[:, pos], np.inf)
+        q[:, pos] = np.nextafter(q[:, pos], np.inf)
+        q[pos, :] = q[:, pos]
+        monkeypatch.setattr(np.linalg, "svd", None)
+        sol = solve(dataclasses.replace(qp, H=h, Q=q))
+        assert sol.kkt_rank_deficiency == 5
+
+    def test_columns_differing_beyond_round_off_kept_apart(self):
+        qp = reference_qp(4)
+        pos = int(qp.grid.index(qp.grid.n_y + 1, 2))
+        h = qp.H.copy()
+        h[np.flatnonzero(h[:, pos])[0], pos] += 1e-6
+        rep = qpsolve._equal_columns(h, qp.Q, qp.c)
+        assert rep[qp.grid.block_size + pos] == qp.grid.block_size + pos
+        assert np.count_nonzero(rep != np.arange(rep.size)) == 4
+
     @pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.5])
-    @pytest.mark.parametrize("n", [4, 8, 12])
-    def test_merged_lu_matches_svd_fallback(self, n, alpha):
-        """Without declared pairs the singular saddle matrix takes the SVD
-        minimum-norm route; merging the pairs must give the same answer."""
-        qp = reference_qp(n, alpha)
+    def test_merged_solve_matches_svd_fallback(self, monkeypatch, alpha):
+        """Without merging, the singular saddle matrix of a transcribed
+        program must be sent to the SVD fallback, which agrees."""
+        qp = reference_qp(8, alpha)
         merged = solve(qp)
-        fallback = solve(dataclasses.replace(qp, split_pairs=()))
+        monkeypatch.setattr(qpsolve, "_equal_columns", lambda h, q, c: np.arange(q.shape[0]))
+        fallback = solve(qp)
         np.testing.assert_allclose(merged.z, fallback.z, rtol=0, atol=1e-9)
         np.testing.assert_allclose(merged.multipliers, fallback.multipliers, rtol=0, atol=1e-12)
         assert merged.j == pytest.approx(fallback.j, rel=0, abs=1e-12)
-        assert merged.kkt_rank_deficiency == fallback.kkt_rank_deficiency == n + 1
-
-    def test_pair_that_is_not_a_null_direction_rejected(self):
-        qp = reference_qp(3)
-        phi0, _ = qp.split_pairs[1]
-        h = qp.H.copy()
-        h[:, phi0] *= 1.0 + 1e-6
-        with pytest.raises(ValueError, match="not a null direction"):
-            solve(dataclasses.replace(qp, H=h))
-
-    def test_pair_sharing_a_column_rejected(self):
-        qp = reference_qp(3)
-        phi0, u0 = qp.split_pairs[0]
-        with pytest.raises(ValueError, match="distinct"):
-            solve(dataclasses.replace(qp, split_pairs=((phi0, u0), (u0, phi0))))
+        assert merged.kkt_rank_deficiency == fallback.kkt_rank_deficiency == 9
 
     def test_transcribed_solve_needs_no_svd(self, monkeypatch):
         def no_svd(*args, **kwargs):
