@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 
-# Summarize a sweep report as a convergence table: for each family parameter,
-# list the cost, its gap to the finest grid, and the two accuracy scores.
-#
-# $ python3 scripts/run_benchmark_sweep.py --out results/benchmark
-# $ python3 scripts/convergence_table.py results/benchmark/report.csv
+"""Summarize a sweep report as a convergence table: for each family parameter,
+list the cost, its gap to the finest grid, and the two accuracy scores.
+
+$ python3 scripts/run_benchmark_sweep.py --out results/benchmark
+$ python3 scripts/convergence_table.py results/benchmark/report.csv
+"""
 
 import argparse
 import csv
@@ -36,7 +37,9 @@ def load_report(path):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("report", help="path to a report.csv from a sweep")
     args = parser.parse_args(argv)
 

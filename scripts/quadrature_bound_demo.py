@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 
-# Measure nodewise quadrature errors for f = e^x on [0, 1] and compare them
-# with the computed truncation-error bounds, then report the fitted constant
-# of the asymptotic decay shape.  Demonstrates that the theory dominates the
-# observation until the measurement hits the float64 floor.
-#
-# $ python3 scripts/quadrature_bound_demo.py
-# $ python3 scripts/quadrature_bound_demo.py --alpha 0.5 --n-max 16
+"""Measure nodewise quadrature errors for f = e^x on [0, 1] and compare them
+with the computed truncation-error bounds, then report the fitted constant
+of the asymptotic decay shape.  Demonstrates that the theory dominates the
+observation until the measurement hits the float64 floor.
+
+$ python3 scripts/quadrature_bound_demo.py
+$ python3 scripts/quadrature_bound_demo.py --alpha 0.5 --n-max 16
+"""
 
 import argparse
 import math
@@ -25,7 +26,9 @@ from gegopt.bounds import (
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--alpha", type=float, default=0.0, help="family parameter")
     parser.add_argument("--n-min", type=int, default=4)
     parser.add_argument("--n-max", type=int, default=12)

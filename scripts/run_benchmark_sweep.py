@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 
-# Run the benchmark diffusion-control problem (L=4, tf=1, r1=r2=1/2,
-# f(y) = 1 + y) over a grid of resolutions and family parameters, writing
-# the CSV report plus per-cell solution/profile files.
-#
-# $ python3 scripts/run_benchmark_sweep.py                 # quick sweep
-# $ python3 scripts/run_benchmark_sweep.py --full          # the full table
-# $ python3 scripts/run_benchmark_sweep.py --out results/my_sweep
+"""Run the benchmark diffusion-control problem (L=4, tf=1, r1=r2=1/2,
+f(y) = 1 + y) over a grid of resolutions and family parameters, writing
+the CSV report plus per-cell solution/profile files.
+
+$ python3 scripts/run_benchmark_sweep.py                 # quick sweep
+$ python3 scripts/run_benchmark_sweep.py --full          # the full table
+$ python3 scripts/run_benchmark_sweep.py --out results/my_sweep
+"""
 
 import argparse
 import sys
@@ -15,7 +16,9 @@ from gegopt.cli import main as cli_main
 
 
 def parse_args(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument(
         "--out", default="results/benchmark", help="output directory for CSV files"
     )

@@ -18,6 +18,7 @@ solution and profile files, and keeps going when individual cells fail
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -146,19 +147,18 @@ def parse_initial_profile(spec: str) -> Callable[[float], float]:
     raise ConfigError(f"cannot parse initial profile {spec!r}")
 
 
+@contextlib.contextmanager
 def _stage(name: str, ny: int, nt: int, alpha: float):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, RuntimeError):
-                raise RuntimeError(
-                    f"stage {name!r} failed for N_y={ny}, N_t={nt}, alpha={alpha}: {exc}"
-                ) from exc
-            return False
-
-    return _Ctx()
+    """Re-raise a failure inside the block as a RuntimeError naming the stage
+    and cell; a RuntimeError passes through unchanged."""
+    try:
+        yield
+    except RuntimeError:
+        raise
+    except Exception as exc:
+        raise RuntimeError(
+            f"stage {name!r} failed for N_y={ny}, N_t={nt}, alpha={alpha}: {exc}"
+        ) from exc
 
 
 def run_single(
@@ -214,35 +214,47 @@ def run_single(
     return record, solution
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.16e}"
-
-
 def _cell_tag(n_y: int, n_t: int, alpha: float) -> str:
     n = str(n_y) if n_y == n_t else f"{n_y}x{n_t}"
     return f"{n}_{alpha:g}"
 
 
+def _csv_rows(fmt: str, rows: np.ndarray) -> str:
+    """`fmt % row` for each row of a 2-D array.  Numbers go out as %.16e and
+    lines end in \\r\\n, the bytes csv.writer gives for f"{v:.16e}" fields."""
+    return "".join(map(fmt.__mod__, map(tuple, rows.tolist())))
+
+
 def _write_solution_csv(path: Path, sol: OcpSolution) -> None:
-    grid = sol.transcription.grid
     y_aug = np.append(sol.transcription.rule_y.nodes, 0.0)
     t_nodes = sol.transcription.rule_t.nodes
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "y", "t", "phi", "u", "x"])
-        for i in range(grid.n_y + 2):
-            for j in range(grid.n_t + 1):
-                writer.writerow(
-                    [
-                        i,
-                        j,
-                        _fmt(y_aug[i]),
-                        _fmt(t_nodes[j]),
-                        _fmt(sol.phi[i, j]),
-                        _fmt(sol.u[i, j]),
-                        _fmt(sol.x[i, j]),
-                    ]
-                )
+    i, j = np.divmod(np.arange(y_aug.size * t_nodes.size), t_nodes.size)
+    rows = np.column_stack(
+        [i, j, y_aug[i], t_nodes[j], sol.phi.ravel(), sol.u.ravel(), sol.x.ravel()]
+    )
+    fmt = "%d,%d,%.16e,%.16e,%.16e,%.16e,%.16e\r\n"
+    path.write_text("i,j,y,t,phi,u,x\r\n" + _csv_rows(fmt, rows), newline="")
+
+
+def _profile_samples(sol: OcpSolution, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """(y, t, x, u) rows of the state and control interpolants: the full
+    samples x samples tensor grid (y outer), then the spatial midline."""
+    trans = sol.transcription
+    n_y = trans.grid.n_y
+    x_interp = Interpolant2D(trans.rule_y, trans.rule_t, sol.x[: n_y + 1, :])
+    u_interp = Interpolant2D(trans.rule_y, trans.rule_t, sol.u[: n_y + 1, :])
+    ys = np.linspace(0.0, trans.ocp.length, samples)
+    ts = np.linspace(0.0, trans.ocp.t_final, samples)
+    grid = np.column_stack([
+        np.repeat(ys, samples), np.tile(ts, samples),
+        eval2d_grid(x_interp, ys, ts).ravel(), eval2d_grid(u_interp, ys, ts).ravel(),
+    ])
+    mid = 0.5 * trans.ocp.length
+    midline = np.column_stack([
+        np.full(samples, mid), ts,
+        eval2d_grid(x_interp, [mid], ts)[0], eval2d_grid(u_interp, [mid], ts)[0],
+    ])
+    return grid, midline
 
 
 def emit_profiles(sol: OcpSolution, samples: int) -> list[tuple[str, float, float, float, float]]:
@@ -251,47 +263,28 @@ def emit_profiles(sol: OcpSolution, samples: int) -> list[tuple[str, float, floa
     Returns (section, y, t, x, u) tuples: a full tensor grid, then a slice
     along the spatial midline.
     """
-    trans = sol.transcription
-    n_y, n_t = trans.grid.n_y, trans.grid.n_t
-    x_interp = Interpolant2D(trans.rule_y, trans.rule_t, sol.x[: n_y + 1, :])
-    u_interp = Interpolant2D(trans.rule_y, trans.rule_t, sol.u[: n_y + 1, :])
-    ys = np.linspace(0.0, trans.ocp.length, samples)
-    ts = np.linspace(0.0, trans.ocp.t_final, samples)
-    xg = eval2d_grid(x_interp, ys, ts)
-    ug = eval2d_grid(u_interp, ys, ts)
-    rows = [
-        ("grid", ys[iy], ts[it], xg[iy, it], ug[iy, it])
-        for iy in range(samples)
-        for it in range(samples)
+    grid, midline = _profile_samples(sol, samples)
+    return [("grid", *row) for row in grid.tolist()] + [
+        ("midline", *row) for row in midline.tolist()
     ]
-    mid = 0.5 * trans.ocp.length
-    xm = eval2d_grid(x_interp, [mid], ts)[0]
-    um = eval2d_grid(u_interp, [mid], ts)[0]
-    rows.extend(("midline", mid, ts[it], xm[it], um[it]) for it in range(samples))
-    return rows
 
 
 def _write_profiles_csv(path: Path, sol: OcpSolution, samples: int) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["section", "y", "t", "x", "u"])
-        for section, y, t, xv, uv in emit_profiles(sol, samples):
-            writer.writerow([section, _fmt(y), _fmt(t), _fmt(xv), _fmt(uv)])
+    grid, midline = _profile_samples(sol, samples)
+    path.write_text(
+        "section,y,t,x,u\r\n"
+        + _csv_rows("grid,%.16e,%.16e,%.16e,%.16e\r\n", grid)
+        + _csv_rows("midline,%.16e,%.16e,%.16e,%.16e\r\n", midline),
+        newline="",
+    )
 
 
 def _dump_matrices(out_dir: Path, sol: OcpSolution) -> None:
     qp = sol.transcription.qp
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, arr in (("H", qp.H), ("Q", qp.Q)):
-        with (out_dir / f"{name}.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in arr:
-                writer.writerow([_fmt(v) for v in row])
-    for name, vec in (("b", qp.b), ("c", qp.c)):
-        with (out_dir / f"{name}.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            for v in vec:
-                writer.writerow([_fmt(v)])
+    for name, arr in (("H", qp.H), ("Q", qp.Q), ("b", qp.b[:, None]), ("c", qp.c[:, None])):
+        fmt = ",".join(["%.16e"] * arr.shape[1]) + "\r\n"
+        (out_dir / f"{name}.csv").write_text(_csv_rows(fmt, arr), newline="")
     meta = {
         "j0": qp.j0,
         "n_y": qp.grid.n_y,
@@ -312,9 +305,10 @@ def _write_report(path: Path, records: Sequence[RunRecord]) -> None:
         )
         for r in records:
             writer.writerow(
-                [r.n_y, r.n_t, f"{r.alpha:g}", _fmt(r.j), _fmt(r.feasibility),
-                 _fmt(r.psi1), _fmt(r.psi2), _fmt(r.kkt_residual),
-                 _fmt(r.wall_time_s), r.error]
+                [r.n_y, r.n_t, f"{r.alpha:g}"]
+                + [f"{v:.16e}" for v in (r.j, r.feasibility, r.psi1, r.psi2,
+                                         r.kkt_residual, r.wall_time_s)]
+                + [r.error]
             )
 
 

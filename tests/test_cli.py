@@ -9,6 +9,7 @@ entry point itself.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -26,12 +27,15 @@ from gegopt.cli import (
     ConfigError,
     RunConfig,
     RunRecord,
+    _csv_rows,
+    _stage,
     emit_profiles,
     main,
     parse_initial_profile,
     run_single,
     run_sweep,
 )
+from gegopt.interp import Interpolant2D, eval2d_grid
 
 
 class TestInitialProfileParsing:
@@ -156,8 +160,39 @@ class TestRunSweep:
         failed = [r for r in records if r.error]
         assert len(failed) == 1
         assert failed[0].n_y == 0
+        assert failed[0].error == (
+            "stage 'transcribe' failed for N_y=0, N_t=0, alpha=0.0: "
+            "grid needs at least one interior node per axis"
+        )
         assert math.isnan(failed[0].j)
         assert (4, 4, 0.0) in solutions
+
+    def test_failure_text_reads_back_from_report(self, tmp_path):
+        # The message contains commas, so report.csv must quote it.
+        assert main(["--Ny", "0", "--out", str(tmp_path)]) == 2
+        with (tmp_path / "report.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 2
+        assert rows[1][-1] == (
+            "stage 'transcribe' failed for N_y=0, N_t=0, alpha=0.0: "
+            "grid needs at least one interior node per axis"
+        )
+
+
+class TestStage:
+    def test_other_errors_wrapped_with_stage_and_cell(self):
+        with pytest.raises(RuntimeError) as info:
+            with _stage("solve", 5, 6, -0.2):
+                raise ValueError("bad input")
+        assert str(info.value) == "stage 'solve' failed for N_y=5, N_t=6, alpha=-0.2: bad input"
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_runtime_error_passes_through(self):
+        err = RuntimeError("as raised")
+        with pytest.raises(RuntimeError) as info:
+            with _stage("solve", 5, 6, -0.2):
+                raise err
+        assert info.value is err
 
 
 class TestEmitProfiles:
@@ -240,6 +275,100 @@ class TestMainOutputs:
         assert (tmp_path / "solution_4x3_0.csv").exists()
 
 
+def _reference_solution_csv(path, sol):
+    """The csv.writer + f"{v:.16e}" writer these files were first defined by."""
+    grid = sol.transcription.grid
+    y_aug = np.append(sol.transcription.rule_y.nodes, 0.0)
+    t_nodes = sol.transcription.rule_t.nodes
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["i", "j", "y", "t", "phi", "u", "x"])
+        for i in range(grid.n_y + 2):
+            for j in range(grid.n_t + 1):
+                writer.writerow(
+                    [i, j, f"{y_aug[i]:.16e}", f"{t_nodes[j]:.16e}", f"{sol.phi[i, j]:.16e}",
+                     f"{sol.u[i, j]:.16e}", f"{sol.x[i, j]:.16e}"]
+                )
+
+
+def _reference_profiles_csv(path, sol, samples):
+    trans = sol.transcription
+    n_y = trans.grid.n_y
+    x_interp = Interpolant2D(trans.rule_y, trans.rule_t, sol.x[: n_y + 1, :])
+    u_interp = Interpolant2D(trans.rule_y, trans.rule_t, sol.u[: n_y + 1, :])
+    ys = np.linspace(0.0, trans.ocp.length, samples)
+    ts = np.linspace(0.0, trans.ocp.t_final, samples)
+    xg = eval2d_grid(x_interp, ys, ts)
+    ug = eval2d_grid(u_interp, ys, ts)
+    rows = [("grid", ys[iy], ts[it], xg[iy, it], ug[iy, it])
+            for iy in range(samples) for it in range(samples)]
+    mid = 0.5 * trans.ocp.length
+    xm = eval2d_grid(x_interp, [mid], ts)[0]
+    um = eval2d_grid(u_interp, [mid], ts)[0]
+    rows.extend(("midline", mid, ts[it], xm[it], um[it]) for it in range(samples))
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["section", "y", "t", "x", "u"])
+        for section, y, t, xv, uv in rows:
+            writer.writerow([section, f"{y:.16e}", f"{t:.16e}", f"{xv:.16e}", f"{uv:.16e}"])
+
+
+def _reference_matrices(out_dir, sol):
+    qp = sol.transcription.qp
+    out_dir.mkdir()
+    for name, arr in (("H", qp.H), ("Q", qp.Q)):
+        with (out_dir / f"{name}.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            for row in arr:
+                writer.writerow([f"{v:.16e}" for v in row])
+    for name, vec in (("b", qp.b), ("c", qp.c)):
+        with (out_dir / f"{name}.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            for v in vec:
+                writer.writerow([f"{v:.16e}"])
+
+
+class TestArtifactBytes:
+    """The CSV files are pinned byte for byte to a csv.writer reference."""
+
+    def test_files_match_reference_writer(self, tmp_path):
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        args = ["--Ny", "4", "--Nt", "3", "--alpha=-0.2", "--eval-grid", "11",
+                "--dump-matrices", "--out", str(out)]
+        assert main(args) == 0
+        _, sol = run_single(reference_ocp(), 4, 3, -0.2, eval_grid=11)
+        ref.mkdir()
+        _reference_solution_csv(ref / "solution.csv", sol)
+        _reference_profiles_csv(ref / "profiles.csv", sol, 11)
+        _reference_matrices(ref / "matrices", sol)
+        pairs = [
+            (out / "solution_4x3_-0.2.csv", ref / "solution.csv"),
+            (out / "profiles_4x3_-0.2.csv", ref / "profiles.csv"),
+        ] + [
+            (out / "matrices_4x3_-0.2" / f"{name}.csv", ref / "matrices" / f"{name}.csv")
+            for name in ("H", "Q", "b", "c")
+        ]
+        for got, want in pairs:
+            data = got.read_bytes()
+            assert data == want.read_bytes(), got.name
+            assert data.endswith(b"\r\n")
+            assert data.count(b"\n") == data.count(b"\r\n"), got.name
+
+    def test_row_formatter_special_values(self):
+        values = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 0.1]
+        col = np.array(values)[:, None]
+        got = _csv_rows("v,%.16e,%.16e\r\n", np.hstack([col, -col]))
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        for v in values:
+            writer.writerow(["v", f"{v:.16e}", f"{-v:.16e}"])
+        assert got == buf.getvalue()
+        assert got.splitlines()[0] == "v,-0.0000000000000000e+00,0.0000000000000000e+00"
+        parsed = [float(line.split(",")[1]) for line in got.splitlines()]
+        assert np.array_equal(parsed, values, equal_nan=True)
+        assert [math.copysign(1.0, v) for v in parsed] == [math.copysign(1.0, v) for v in values]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
@@ -279,6 +408,24 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "--alpha" in proc.stdout
         assert "--dump-matrices" in proc.stdout
+
+
+class TestScripts:
+    @pytest.mark.parametrize(
+        "name", ["convergence_table.py", "quadrature_bound_demo.py", "run_benchmark_sweep.py"]
+    )
+    def test_help_shows_module_docstring(self, name):
+        script = Path(__file__).resolve().parents[1] / "scripts" / name
+        package_root = Path(gegopt.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, str(script), "--help"],
+            capture_output=True,
+            text=True,
+            check=False,
+            env=dict(os.environ, PYTHONPATH=str(package_root)),
+        )
+        assert proc.returncode == 0
+        assert f"$ python3 scripts/{name}" in proc.stdout
 
 
 class TestRecordDefaults:
