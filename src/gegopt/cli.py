@@ -220,8 +220,8 @@ def _cell_tag(n_y: int, n_t: int, alpha: float) -> str:
 
 
 def _csv_rows(fmt: str, rows: np.ndarray) -> str:
-    """`fmt % row` for each row of a 2-D array.  Numbers go out as %.16e and
-    lines end in \\r\\n, the bytes csv.writer gives for f"{v:.16e}" fields."""
+    """`fmt % row` for each row of a 2-D array, joined.  Callers use %.16e
+    fields and a \\r\\n ending: the bytes csv.writer gives for f"{v:.16e}"."""
     return "".join(map(fmt.__mod__, map(tuple, rows.tolist())))
 
 

@@ -187,9 +187,11 @@ class TestStage:
         assert str(info.value) == "stage 'solve' failed for N_y=5, N_t=6, alpha=-0.2: bad input"
         assert isinstance(info.value.__cause__, ValueError)
 
-    def test_runtime_error_passes_through(self):
-        err = RuntimeError("as raised")
-        with pytest.raises(RuntimeError) as info:
+    @pytest.mark.parametrize("err", [RuntimeError("as raised"), KeyboardInterrupt()])
+    def test_runtime_error_and_interrupt_pass_through(self, err):
+        # An interrupt turned into RuntimeError would be recorded as a failed
+        # cell by run_sweep, and the sweep would go on.
+        with pytest.raises(type(err)) as info:
             with _stage("solve", 5, 6, -0.2):
                 raise err
         assert info.value is err
