@@ -176,11 +176,8 @@ def run_single(
     with _stage("solve", n_y, n_t, alpha):
         sol = solve(trans.qp)
     with _stage("recover", n_y, n_t, alpha):
-        grid = trans.grid
-        block = grid.block_size
-        phi = sol.z[:block].reshape(n_t + 1, n_y + 2).T
-        u = sol.z[block:].reshape(n_t + 1, n_y + 2).T
-        x = recover_state(sol.z, grid, trans.op_t1, ocp, rule_y.nodes)
+        phi, u = trans.grid.fields(sol.z)
+        x = recover_state(sol.z, trans.grid, trans.op_t1, ocp, rule_y.nodes)
         state_interp = Interpolant2D(rule_y, rule_t, x[: n_y + 1, :])
         ys = np.linspace(0.0, ocp.length, eval_grid)
         f_vals = np.array([float(ocp.initial(v)) for v in ys])
@@ -448,6 +445,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             dump_matrices=args.dump_matrices,
         )
         config.cells()  # validate cell construction before doing any work
+        if config.eval_grid < 2:
+            raise ConfigError("eval grid needs at least two sample points")
         records, _ = run_sweep(config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -18,9 +18,11 @@ integral by the corresponding integration-matrix row yields H Z = b with
 where each block holds, for every time node j, the values at the N_y + 1
 interior space nodes plus one extra value at the boundary y = 0 (the value
 at y = 0 enters the eliminated integration constant, so it is a genuine
-unknown).  Grid unknowns are numbered time-major: flat index
-i + j (N_y + 2) holds space index i (i = N_y + 1 meaning y = 0) at time
-node j.
+unknown).  Each block is an (N_t + 1) x (N_y + 2) array stored time-major:
+flat index i + j (N_y + 2) holds space slot i (i = N_y + 1 meaning y = 0)
+at time node j.  Every matrix of the program is therefore a Kronecker
+product of a time factor (N_t + 1 square) and a space factor over the
+N_y + 2 slots of a time slice.
 
 The cost is the Gauss discretization of the running integral of
 r1 x^2 + r2 u^2, written both as an assembled quadratic form
@@ -81,12 +83,12 @@ class DiffusionOcp:
 
 @dataclass(frozen=True)
 class GridIndexMap:
-    """Index bookkeeping for an (N_y, N_t) collocation grid.
+    """Block layout of an (N_y, N_t) collocation grid.
 
-    n_collocation:  number of collocated dynamics equations minus one.
-    n_block:        flat length of one unknown block minus two.
-    index(i, j):    time-major flat position of space index i, time index j
-                    (i = N_y + 1 addresses the y = 0 boundary value).
+    Each of the phi and u blocks is an (N_t + 1) x (N_y + 2) array stored
+    time-major: slots 0..N_y of a time slice hold the interior space nodes,
+    slot N_y + 1 the value at y = 0.
+    index(i, j):    flat position of space slot i at time index j.
     """
 
     n_y: int
@@ -97,17 +99,9 @@ class GridIndexMap:
             raise ValueError("grid needs at least one interior node per axis")
 
     @property
-    def n_collocation(self) -> int:
-        return self.n_y + self.n_t + self.n_y * self.n_t
-
-    @property
-    def n_block(self) -> int:
-        return self.n_y + self.n_t * (self.n_y + 2)
-
-    @property
     def block_size(self) -> int:
         """Length of the phi block (= length of the u block)."""
-        return self.n_block + 2
+        return (self.n_y + 2) * (self.n_t + 1)
 
     @property
     def n_unknowns(self) -> int:
@@ -117,20 +111,11 @@ class GridIndexMap:
         """Flat position of grid point (space i, time j) within a block."""
         return np.asarray(i) + np.asarray(j) * (self.n_y + 2)
 
-    @property
-    def interior_by_time(self) -> np.ndarray:
-        """Block positions of interior values ordered time-major
-        (space fastest): entry l = k + j (N_y + 1) maps to index(k, j)."""
-        l = np.arange(self.n_collocation + 1)
-        return l + l // (self.n_y + 1)
-
-    @property
-    def interior_by_node(self) -> np.ndarray:
-        """Block positions of interior values ordered node-major
-        (time fastest): entry m = s + k (N_t + 1) maps to index(k, s)."""
-        m = np.arange(self.n_collocation + 1)
-        k, s = m // (self.n_t + 1), m % (self.n_t + 1)
-        return self.index(k, s)
+    def fields(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(phi, u) of an unknown vector, each of shape (N_y + 2, N_t + 1):
+        rows 0..N_y are the interior space nodes, row N_y + 1 is y = 0."""
+        phi, u = np.reshape(z, (2, self.n_t + 1, self.n_y + 2)).transpose(0, 2, 1)
+        return phi, u
 
 
 @dataclass(frozen=True)
@@ -168,6 +153,25 @@ def _check_operator(op: IntegrationOperator, order: int, size: int, length: floa
         raise ValueError(f"operator interval {op.interval} does not match [0, {length}]")
 
 
+def _interior(grid: GridIndexMap) -> np.ndarray:
+    """E: selects the N_y + 1 interior slots of one time slice."""
+    return np.eye(grid.n_y + 1, grid.n_y + 2)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron with every zero entry +0.0: a product 0 * (negative entry) is
+    -0.0, which the matrix dumps would print as -0.  Cleared in place, since
+    a second product-sized array raises the solver's peak memory."""
+    k = np.kron(a, b)
+    k += 0.0
+    return k
+
+
+def _profile(ocp: DiffusionOcp, y: np.ndarray) -> np.ndarray:
+    """Initial profile f at each point of y."""
+    return np.array([float(ocp.initial(v)) for v in y])
+
+
 def assemble_dynamics(
     ocp: DiffusionOcp,
     grid: GridIndexMap,
@@ -179,43 +183,33 @@ def assemble_dynamics(
     Row (i, j) states that the twice-integrated phi plus the once-integrated
     mismatch between boundary and local values of phi + u balances
     f(y_i) - f(0).  Only interior space indices generate rows; the boundary
-    unknowns appear in the columns alone.
+    unknowns appear in the columns alone.  In Kronecker form, with E the
+    interior selector and e_b the boundary slot,
+
+        a_u = P1 (x) (1 e_b' - E),    a_phi = I_t (x) (P2 E) + a_u.
     """
     n_y, n_t = grid.n_y, grid.n_t
     _check_operator(op_y2, 2, n_y + 1, ocp.length)
     _check_operator(op_t1, 1, n_t + 1, ocp.t_final)
-    p2 = op_y2.matrix
-    p1 = op_t1.matrix
-    y = op_y2.rule.nodes
-    f0 = float(ocp.initial(0.0))
-    rows = grid.n_collocation + 1
-    a_phi = np.zeros((rows, grid.block_size))
-    a_u = np.zeros((rows, grid.block_size))
-    rhs = np.empty(rows)
-    space_cols = np.arange(n_y + 1)
-    time_cols = np.arange(n_t + 1)
-    for j in range(n_t + 1):
-        for i in range(n_y + 1):
-            r = i + j * (n_y + 1)
-            a_phi[r, grid.index(space_cols, j)] += p2[i]
-            a_phi[r, grid.index(i, time_cols)] -= p1[j]
-            a_phi[r, grid.index(n_y + 1, time_cols)] += p1[j]
-            a_u[r, grid.index(i, time_cols)] = -p1[j]
-            a_u[r, grid.index(n_y + 1, time_cols)] = p1[j]
-            rhs[r] = float(ocp.initial(y[i])) - f0
+    e = _interior(grid)
+    mismatch = -e
+    mismatch[:, -1] = 1.0
+    a_u = _kron(op_t1.matrix, mismatch)
+    a_phi = _kron(np.eye(n_t + 1), op_y2.matrix @ e)
+    a_phi += a_u
+    f = _profile(ocp, op_y2.rule.nodes)
+    rhs = np.tile(f - float(ocp.initial(0.0)), n_t + 1)
     return a_phi, a_u, rhs
 
 
 def assemble_boundary(grid: GridIndexMap, full_row_y: np.ndarray) -> np.ndarray:
     """Zero-flux closure at y = L: one row per time node requiring the
-    interior phi values to integrate to zero across [0, L]."""
+    interior phi values to integrate to zero across [0, L], I_t (x) (w_y' E)
+    on the phi block."""
     if full_row_y.shape != (grid.n_y + 1,):
         raise ValueError("full-interval row does not match the space grid")
     psi = np.zeros((grid.n_t + 1, grid.n_unknowns))
-    cols = grid.interior_by_time
-    stride = grid.n_y + 1
-    for j in range(grid.n_t + 1):
-        psi[j, cols[j * stride : (j + 1) * stride]] = full_row_y
+    psi[:, : grid.block_size] = _kron(np.eye(grid.n_t + 1), full_row_y @ _interior(grid))
     return psi
 
 
@@ -226,22 +220,10 @@ def state_map(
     op_t1: IntegrationOperator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Affine recovery of the interior state from the unknown vector:
-    x_interior = M Z + fbar, ordered time-major (space fastest)."""
-    n_y, n_t = grid.n_y, grid.n_t
-    p1 = op_t1.matrix
-    rows = grid.n_collocation + 1
-    m = np.zeros((rows, grid.n_unknowns))
-    fbar = np.empty(rows)
-    offset = grid.block_size
-    time_cols = np.arange(n_t + 1)
-    for l in range(n_t + 1):
-        for k in range(n_y + 1):
-            r = k + l * (n_y + 1)
-            cols = grid.index(k, time_cols)
-            m[r, cols] = p1[l]
-            m[r, offset + cols] = p1[l]
-            fbar[r] = float(ocp.initial(y_nodes[k]))
-    return m, fbar
+    x_interior = M Z + fbar, ordered time-major (space fastest), with
+    M = [P1 (x) E, P1 (x) E]."""
+    m = _kron(op_t1.matrix, _interior(grid))
+    return np.hstack([m, m]), np.tile(_profile(ocp, y_nodes), grid.n_t + 1)
 
 
 def assemble_cost(
@@ -256,16 +238,22 @@ def assemble_cost(
 
     The running cost is integrated by the full-interval rows in both
     coordinates; the state enters through the affine recovery map, so
-    Q = r1 M' W M + r2 S' W S with W the tensor quadrature weight.  S
-    selects the interior u values, so S' W S is diagonal and is added in
-    place.
+    Q = r1 M' W M + r2 S' W S with W = W_t (x) W_y the tensor quadrature
+    weight and S the interior-u selector.  Since M = [1, 1] (x) P1 (x) E,
+    r1 M' W M = r1 [[B, B], [B, B]] with B = (P1' W_t P1) (x) (E' W_y E);
+    the time factor is symmetrized so Q is exactly symmetric.  S' W S is
+    diagonal and is added in place.
     """
     m, fbar = state_map(ocp, grid, y_nodes, op_t1)
     w = np.kron(full_row_t, full_row_y)
-    q = ocp.r1 * (m.T @ (w[:, None] * m))
-    u_interior = grid.block_size + grid.interior_by_time
-    q[u_interior, u_interior] += ocp.r2 * w
-    q = 0.5 * (q + q.T)
+    p1 = op_t1.matrix
+    gram_t = p1.T @ (full_row_t[:, None] * p1)
+    w_slots = full_row_y @ _interior(grid)  # diagonal of E' W_y E
+    b = _kron(0.5 * (gram_t + gram_t.T), np.diag(w_slots))
+    b *= ocp.r1
+    q = np.block([[b, b], [b, b]])
+    u_diag = np.arange(grid.block_size, grid.n_unknowns)
+    q[u_diag, u_diag] += ocp.r2 * np.kron(full_row_t, w_slots)
     c = 2.0 * ocp.r1 * (m.T @ (w * fbar))
     j0 = ocp.r1 * float(w @ fbar**2)
     return q, c, j0
@@ -329,12 +317,8 @@ def recover_state(
     nodes, row N_y + 1 is the boundary y = 0.  Each entry integrates
     phi + u in time and adds the initial profile.
     """
-    n_y, n_t = grid.n_y, grid.n_t
-    block = grid.block_size
-    phi = z[:block].reshape(n_t + 1, n_y + 2).T
-    u = z[block:].reshape(n_t + 1, n_y + 2).T
-    y_aug = np.append(y_nodes, 0.0)
-    f_vals = np.array([float(ocp.initial(yv)) for yv in y_aug])
+    phi, u = grid.fields(z)
+    f_vals = _profile(ocp, np.append(y_nodes, 0.0))
     return (phi + u) @ op_t1.matrix.T + f_vals[:, None]
 
 

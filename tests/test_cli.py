@@ -386,10 +386,17 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "configuration error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["--Ny", "0"], ["--eval-grid", "1"]])
+    @pytest.mark.parametrize("argv", [["--Ny", "0"]])
     def test_cell_failure_exits_two(self, argv, capsys):
         assert main(argv) == 2
         assert "FAILED" in capsys.readouterr().out
+
+    def test_eval_grid_below_two_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--Ny", "4", "--eval-grid", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: eval grid needs at least two sample points" in err
+        assert not out.exists()
 
     def test_successful_run_exits_zero(self, capsys):
         assert main(["--Ny", "3", "--eval-grid", "11"]) == 0

@@ -15,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 from gegopt.polycore import BasisSpec
 from gegopt.nodes import sgg_rule
 from gegopt.intmat import first_order_matrix, higher_order_matrix
+from gegopt.qpsolve import solve
 from gegopt.transcribe import (
     DiffusionOcp,
+    DiscreteQp,
     GridIndexMap,
     assemble_boundary,
     assemble_cost,
@@ -51,11 +53,15 @@ def fill_grid(grid: GridIndexMap, t_nodes, y_aug, phi_f, u_f) -> np.ndarray:
     return z
 
 
+def interior_positions(grid: GridIndexMap) -> np.ndarray:
+    """Block positions of the interior slots, time-major (space fastest)."""
+    return grid.index(np.arange(grid.n_y + 1), np.arange(grid.n_t + 1)[:, None]).ravel()
+
+
 class TestGridIndexMap:
     @pytest.mark.parametrize("n_y, n_t", [(1, 1), (2, 3), (5, 4), (12, 12)])
     def test_dimension_identities(self, n_y, n_t):
         grid = GridIndexMap(n_y, n_t)
-        assert grid.n_collocation + 1 == (n_y + 1) * (n_t + 1)
         assert grid.block_size == (n_y + 2) * (n_t + 1)
         assert grid.n_unknowns == 2 * (n_y + 2) * (n_t + 1)
 
@@ -65,26 +71,19 @@ class TestGridIndexMap:
         assert int(grid.index(3, 0)) == 3  # boundary slot of the first time node
         np.testing.assert_array_equal(grid.index(np.array([0, 1]), 1), [4, 5])
 
-    @pytest.mark.parametrize("n_y, n_t", [(1, 1), (2, 3), (4, 2), (6, 5)])
-    def test_orderings_cover_the_same_positions(self, n_y, n_t):
+    @settings(deadline=None, max_examples=30)
+    @given(n_y=st.integers(min_value=1, max_value=8), n_t=st.integers(min_value=1, max_value=8))
+    def test_fields_roundtrip(self, n_y, n_t):
+        """fields() reads slot i of time node j at index(i, j) of each block,
+        and its two views, re-raveled time-major, give back z."""
         grid = GridIndexMap(n_y, n_t)
-        by_time = grid.interior_by_time
-        by_node = grid.interior_by_node
-        assert sorted(by_time) == sorted(by_node)
-        # neither ordering ever touches a boundary slot (i = n_y + 1)
-        boundary = set(int(grid.index(n_y + 1, j)) for j in range(n_t + 1))
-        assert boundary.isdisjoint(set(int(v) for v in by_time))
-
-    def test_orderings_are_transposes(self, rng):
-        """Scatter by one ordering, gather by the other: a grid transpose."""
-        grid = GridIndexMap(3, 5)
-        values = rng.normal(size=grid.n_collocation + 1)
-        block = np.zeros(grid.block_size)
-        block[grid.interior_by_time] = values  # (t-major, space fastest)
-        regathered = block[grid.interior_by_node]  # (space-major, time fastest)
-        lhs = regathered.reshape(grid.n_y + 1, grid.n_t + 1)
-        rhs = values.reshape(grid.n_t + 1, grid.n_y + 1).T
-        np.testing.assert_array_equal(lhs, rhs)
+        z = np.arange(grid.n_unknowns, dtype=float)
+        phi, u = grid.fields(z)
+        assert phi.shape == u.shape == (n_y + 2, n_t + 1)
+        i, j = np.meshgrid(np.arange(n_y + 2), np.arange(n_t + 1), indexing="ij")
+        np.testing.assert_array_equal(phi, z[grid.index(i, j)])
+        np.testing.assert_array_equal(u, z[grid.block_size + grid.index(i, j)])
+        np.testing.assert_array_equal(np.concatenate([phi.T.ravel(), u.T.ravel()]), z)
 
     @pytest.mark.parametrize("n_y, n_t", [(0, 3), (3, 0), (-1, 2)])
     def test_degenerate_grids_rejected(self, n_y, n_t):
@@ -138,7 +137,7 @@ class TestDynamicsAssembly:
     def test_shapes(self):
         tr = make_transcription(n_y=4, n_t=3)
         a_phi, a_u, rhs = assemble_dynamics(tr.ocp, tr.grid, tr.op_y2, tr.op_t1)
-        rows = tr.grid.n_collocation + 1
+        rows = (tr.grid.n_y + 1) * (tr.grid.n_t + 1)
         assert a_phi.shape == (rows, tr.grid.block_size)
         assert a_u.shape == (rows, tr.grid.block_size)
         assert rhs.shape == (rows,)
@@ -164,7 +163,7 @@ class TestBoundaryRows:
         tr = make_transcription(n_y=5, n_t=3)
         psi = assemble_boundary(tr.grid, tr.op_y1.full_interval_row)
         z = np.zeros(tr.grid.n_unknowns)
-        z[tr.grid.interior_by_time] = 1.0
+        z[interior_positions(tr.grid)] = 1.0
         np.testing.assert_allclose(psi @ z, np.full(tr.grid.n_t + 1, L), atol=1e-12)
 
     def test_rows_annihilate_odd_profiles(self):
@@ -172,7 +171,7 @@ class TestBoundaryRows:
         psi = assemble_boundary(tr.grid, tr.op_y1.full_interval_row)
         z = np.zeros(tr.grid.n_unknowns)
         phi_interior = np.tile(tr.rule_y.nodes - L / 2.0, tr.grid.n_t + 1)
-        z[tr.grid.interior_by_time] = phi_interior
+        z[interior_positions(tr.grid)] = phi_interior
         np.testing.assert_allclose(psi @ z, np.zeros(tr.grid.n_t + 1), atol=1e-12)
 
     def test_rows_touch_only_interior_phi_columns(self):
@@ -277,7 +276,7 @@ class TestStateRecovery:
 class TestBuildPipeline:
     def test_constraint_shapes(self):
         tr = make_transcription(n_y=5, n_t=4)
-        n_rows = tr.grid.n_collocation + 1 + tr.grid.n_t + 1
+        n_rows = (tr.grid.n_y + 1) * (tr.grid.n_t + 1) + tr.grid.n_t + 1
         assert tr.qp.H.shape == (n_rows, tr.grid.n_unknowns)
         assert tr.qp.b.shape == (n_rows,)
         assert tr.op_y2.order == 2
@@ -326,15 +325,119 @@ class TestProblemValidation:
         assert ocp.r1 == 0.0
 
 
-@settings(deadline=None, max_examples=30)
-@given(n_y=st.integers(min_value=1, max_value=8), n_t=st.integers(min_value=1, max_value=8))
-def test_interior_ordering_roundtrip_property(n_y, n_t):
-    grid = GridIndexMap(n_y, n_t)
-    values = np.arange(grid.n_collocation + 1, dtype=float)
-    block = np.full(grid.block_size, -1.0)
-    block[grid.interior_by_time] = values
-    regathered = block[grid.interior_by_node]
-    np.testing.assert_array_equal(
-        regathered.reshape(n_y + 1, n_t + 1),
-        values.reshape(n_t + 1, n_y + 1).T,
-    )
+# Reference assemblers: the nested-loop bodies that built the program before
+# the Kronecker form, with the interior row count (N_y + 1)(N_t + 1) and the
+# time-major interior positions written out in place of the old index-map
+# members.
+
+
+def loop_dynamics(ocp, grid, op_y2, op_t1):
+    n_y, n_t = grid.n_y, grid.n_t
+    p2 = op_y2.matrix
+    p1 = op_t1.matrix
+    y = op_y2.rule.nodes
+    f0 = float(ocp.initial(0.0))
+    rows = (n_y + 1) * (n_t + 1)
+    a_phi = np.zeros((rows, grid.block_size))
+    a_u = np.zeros((rows, grid.block_size))
+    rhs = np.empty(rows)
+    space_cols = np.arange(n_y + 1)
+    time_cols = np.arange(n_t + 1)
+    for j in range(n_t + 1):
+        for i in range(n_y + 1):
+            r = i + j * (n_y + 1)
+            a_phi[r, grid.index(space_cols, j)] += p2[i]
+            a_phi[r, grid.index(i, time_cols)] -= p1[j]
+            a_phi[r, grid.index(n_y + 1, time_cols)] += p1[j]
+            a_u[r, grid.index(i, time_cols)] = -p1[j]
+            a_u[r, grid.index(n_y + 1, time_cols)] = p1[j]
+            rhs[r] = float(ocp.initial(y[i])) - f0
+    return a_phi, a_u, rhs
+
+
+def loop_boundary(grid, full_row_y):
+    psi = np.zeros((grid.n_t + 1, grid.n_unknowns))
+    l = np.arange((grid.n_y + 1) * (grid.n_t + 1))
+    cols = l + l // (grid.n_y + 1)
+    stride = grid.n_y + 1
+    for j in range(grid.n_t + 1):
+        psi[j, cols[j * stride : (j + 1) * stride]] = full_row_y
+    return psi
+
+
+def loop_state_map(ocp, grid, y_nodes, op_t1):
+    n_y, n_t = grid.n_y, grid.n_t
+    p1 = op_t1.matrix
+    rows = (n_y + 1) * (n_t + 1)
+    m = np.zeros((rows, grid.n_unknowns))
+    fbar = np.empty(rows)
+    offset = grid.block_size
+    time_cols = np.arange(n_t + 1)
+    for l in range(n_t + 1):
+        for k in range(n_y + 1):
+            r = k + l * (n_y + 1)
+            cols = grid.index(k, time_cols)
+            m[r, cols] = p1[l]
+            m[r, offset + cols] = p1[l]
+            fbar[r] = float(ocp.initial(y_nodes[k]))
+    return m, fbar
+
+
+def loop_cost(ocp, grid, y_nodes, op_t1, full_row_y, full_row_t):
+    m, fbar = loop_state_map(ocp, grid, y_nodes, op_t1)
+    w = np.kron(full_row_t, full_row_y)
+    q = ocp.r1 * (m.T @ (w[:, None] * m))
+    l = np.arange((grid.n_y + 1) * (grid.n_t + 1))
+    u_interior = grid.block_size + l + l // (grid.n_y + 1)
+    q[u_interior, u_interior] += ocp.r2 * w
+    q = 0.5 * (q + q.T)
+    c = 2.0 * ocp.r1 * (m.T @ (w * fbar))
+    j0 = ocp.r1 * float(w @ fbar**2)
+    return q, c, j0
+
+
+def assert_same_bits(a, b):
+    """Equal values and equal signs of zero: the arrays print identically."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestLoopReference:
+    """The Kronecker assemblers reproduce the loop assemblers: H, b, M, fbar,
+    c and j0 bit for bit; Q, whose products are summed in another order, to
+    1e-15 of its scale, and exactly symmetric."""
+
+    @pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.5])
+    @pytest.mark.parametrize("n_y, n_t", [(1, 1), (3, 5), (5, 3), (8, 8)])
+    def test_matches_loop_assembly(self, n_y, n_t, alpha):
+        f = lambda y: 1.0 + y - 0.3 * y**2
+        tr = make_transcription(n_y=n_y, n_t=n_t, alpha=alpha, f=f)
+        ocp, grid, y = tr.ocp, tr.grid, tr.rule_y.nodes
+        w_y, w_t = tr.op_y1.full_interval_row, tr.op_t1.full_interval_row
+        a_phi, a_u, rhs = loop_dynamics(ocp, grid, tr.op_y2, tr.op_t1)
+        h, b = combine(a_phi, a_u, loop_boundary(grid, w_y), rhs)
+        assert_same_bits(tr.qp.H, h)
+        assert_same_bits(tr.qp.b, b)
+        for new, old in zip(state_map(ocp, grid, y, tr.op_t1),
+                            loop_state_map(ocp, grid, y, tr.op_t1)):
+            assert_same_bits(new, old)
+        q, c, j0 = loop_cost(ocp, grid, y, tr.op_t1, w_y, w_t)
+        assert_same_bits(tr.qp.c, c)
+        assert_same_bits(tr.qp.j0, j0)
+        assert np.abs(tr.qp.Q - q).max() <= 1e-15 * np.abs(q).max()
+        assert np.array_equal(tr.qp.Q, tr.qp.Q.T)
+
+    @pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.5])
+    def test_solution_matches_loop_program(self, alpha):
+        tr = make_transcription(n_y=6, n_t=6, alpha=alpha)
+        ocp, grid, y = tr.ocp, tr.grid, tr.rule_y.nodes
+        w_y, w_t = tr.op_y1.full_interval_row, tr.op_t1.full_interval_row
+        a_phi, a_u, rhs = loop_dynamics(ocp, grid, tr.op_y2, tr.op_t1)
+        h, b = combine(a_phi, a_u, loop_boundary(grid, w_y), rhs)
+        q, c, j0 = loop_cost(ocp, grid, y, tr.op_t1, w_y, w_t)
+        new = solve(tr.qp)
+        old = solve(DiscreteQp(H=h, b=b, Q=q, c=c, j0=j0, grid=grid))
+        assert new.j == pytest.approx(old.j, rel=1e-13)
+        assert np.abs(new.z - old.z).max() < 1e-10
+        assert new.kkt_rank_deficiency == old.kkt_rank_deficiency == grid.n_t + 1
