@@ -23,7 +23,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -196,7 +196,8 @@ def run_single(
         wall_time_s=wall,
     )
     solution = OcpSolution(
-        transcription=trans,
+        # A sweep keeps every cell's solution; its dense H and Q are rebuilt on access.
+        transcription=replace(trans, assembled=None),
         qp_solution=sol,
         z=sol.z,
         phi=phi,

@@ -32,7 +32,7 @@ summation used as a cross-check oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -132,7 +132,12 @@ class DiscreteQp:
 
 @dataclass(frozen=True)
 class Transcription:
-    """A QP together with the rules and operators that produced it."""
+    """A QP together with the rules and operators that produced it.
+
+    `build` keeps the assembled QP.  With `assembled=None`, `qp` reassembles
+    it, bit for bit, on each access, so a stored solution does not pin the
+    dense H and Q.
+    """
 
     ocp: DiffusionOcp
     grid: GridIndexMap
@@ -141,7 +146,18 @@ class Transcription:
     op_y1: IntegrationOperator
     op_y2: IntegrationOperator
     op_t1: IntegrationOperator
-    qp: DiscreteQp
+    assembled: DiscreteQp | None = field(default=None, repr=False)
+
+    @property
+    def qp(self) -> DiscreteQp:
+        if self.assembled is not None:
+            return self.assembled
+        a_phi, a_u, rhs = assemble_dynamics(self.ocp, self.grid, self.op_y2, self.op_t1)
+        psi = assemble_boundary(self.grid, self.op_y1.full_interval_row)
+        h, b = combine(a_phi, a_u, psi, rhs)
+        rows = (self.op_y1.full_interval_row, self.op_t1.full_interval_row)
+        q, c, j0 = assemble_cost(self.ocp, self.grid, self.rule_y.nodes, self.op_t1, *rows)
+        return DiscreteQp(H=h, b=b, Q=q, c=c, j0=j0, grid=self.grid)
 
 
 def _check_operator(op: IntegrationOperator, order: int, size: int, length: float) -> None:
@@ -328,20 +344,5 @@ def build(ocp: DiffusionOcp, rule_y: QuadratureRule, rule_t: QuadratureRule) -> 
     op_y1 = first_order_matrix(rule_y)
     op_y2 = higher_order_matrix(op_y1, 2)
     op_t1 = first_order_matrix(rule_t)
-    a_phi, a_u, rhs = assemble_dynamics(ocp, grid, op_y2, op_t1)
-    psi = assemble_boundary(grid, op_y1.full_interval_row)
-    h, b = combine(a_phi, a_u, psi, rhs)
-    q, c, j0 = assemble_cost(
-        ocp, grid, rule_y.nodes, op_t1, op_y1.full_interval_row, op_t1.full_interval_row
-    )
-    qp = DiscreteQp(H=h, b=b, Q=q, c=c, j0=j0, grid=grid)
-    return Transcription(
-        ocp=ocp,
-        grid=grid,
-        rule_y=rule_y,
-        rule_t=rule_t,
-        op_y1=op_y1,
-        op_y2=op_y2,
-        op_t1=op_t1,
-        qp=qp,
-    )
+    bare = Transcription(ocp, grid, rule_y, rule_t, op_y1, op_y2, op_t1)
+    return replace(bare, assembled=bare.qp)

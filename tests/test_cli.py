@@ -139,6 +139,17 @@ class TestRunSingle:
         with pytest.raises(ConfigError):
             run_single(reference_ocp(), 4, 4, 0.0, eval_grid=1)
 
+    def test_solution_does_not_keep_the_assembled_qp(self):
+        # A sweep keeps every cell's solution; the dense H and Q are
+        # reassembled on access instead of held.
+        record, sol = run_single(reference_ocp(), 6, 5, -0.2, eval_grid=11)
+        assert sol.transcription.assembled is None
+        qp = sol.transcription.qp
+        assert qp.H.shape == (7 * 6 + 6, sol.transcription.grid.n_unknowns)
+        assert float(np.max(np.abs(qp.H @ sol.z - qp.b))) == record.feasibility
+        j = float(sol.z @ qp.Q @ sol.z + qp.c @ sol.z + qp.j0)
+        assert j == pytest.approx(record.j, rel=1e-13)
+
 
 class TestRunSweep:
     def test_single_cell_sweep_matches_run_single(self):

@@ -8,6 +8,8 @@ integration matrices are exact on polynomials up to the grid degree.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -286,6 +288,16 @@ class TestBuildPipeline:
     def test_constraints_have_full_row_rank(self, alpha):
         tr = make_transcription(n_y=4, n_t=4, alpha=alpha)
         assert np.linalg.matrix_rank(tr.qp.H) == tr.qp.H.shape[0]
+
+    @pytest.mark.parametrize("alpha", [-0.3, 0.0, 0.5])
+    def test_released_transcription_reassembles_the_same_qp(self, alpha):
+        tr = make_transcription(n_y=5, n_t=4, alpha=alpha)
+        released = replace(tr, assembled=None)
+        assert tr.assembled is tr.qp
+        qp = released.qp
+        assert qp is not tr.qp
+        for name in ("H", "b", "Q", "c", "j0"):
+            assert_same_bits(getattr(qp, name), getattr(tr.qp, name))
 
     def test_rule_domain_mismatch_rejected(self):
         rule_y = sgg_rule(BasisSpec(alpha=0.0, length=2.0, degree=4))  # not L
