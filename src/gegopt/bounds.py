@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .polycore import BasisSpec
 
@@ -57,15 +56,20 @@ class BoundInputs:
     leibniz_sup: float = 1.0
 
     def __post_init__(self) -> None:
-        if int(self.q) != self.q or self.q < 1:
-            raise ValueError(f"integration order must be a positive integer, got {self.q}")
+        _checked_order(self.q)
         if self.deriv_sup < 0.0 or self.leibniz_sup < 0.0:
             raise ValueError("derivative bounds must be nonnegative")
 
 
+def _checked_order(q: int) -> int:
+    if int(q) != q or q < 1:
+        raise ValueError(f"integration order must be a positive integer, got {q}")
+    return q
+
+
 def _log_abs_binom(a: float, k: float) -> float:
     """log |binomial(a, k)| for real a, integer k >= 0."""
-    return float(gammaln(a + 1.0) - gammaln(k + 1.0) - gammaln(a - k + 1.0))
+    return math.lgamma(a + 1.0) - math.lgamma(k + 1.0) - math.lgamma(a - k + 1.0)
 
 
 def _log_or_zero(v: float) -> float:
@@ -74,29 +78,29 @@ def _log_or_zero(v: float) -> float:
     return math.log(v) if v > 0.0 else -math.inf
 
 
-def _branch_log_factor(alpha: float, n: int) -> float:
-    """Log magnitude of the parity-dependent factor multiplying the
-    alpha >= 0 expression A 2^(-2n-1) G(a+1) x l^(n+1) G(n+2a+1) /
-    (G(2a+1) G(n+2) G(n+a+1))."""
+def _log_degree_factor(alpha: float, n: int) -> float:
+    """Log magnitude of the degree-dependent factor shared by every bound.
+
+    For alpha >= 0 it is G(n+2a+1) / (G(n+2) G(n+a+1)).  For alpha < 0 that
+    ratio is multiplied by a parity-dependent factor whose G(n+2) and
+    G(n+2a+1) cancel it, written here already cancelled.
+    """
     if alpha >= 0.0:
-        return 0.0
-    if n % 2 == 1:
+        head = math.lgamma(n + 2.0 * alpha + 1.0) - math.lgamma(n + 2.0)
+    elif n % 2 == 1:
         # odd n: (n+1)! |Gamma(2a)| |binom((n+1)/2 + a - 1, (n+1)/2)| / Gamma(n+2a+1)
-        return float(
-            gammaln(n + 2.0)
-            + gammaln(2.0 * alpha)
-            + _log_abs_binom((n + 1) / 2.0 + alpha - 1.0, (n + 1) / 2.0)
-            - gammaln(n + 2.0 * alpha + 1.0)
+        head = math.lgamma(2.0 * alpha) + _log_abs_binom(
+            (n + 1) / 2.0 + alpha - 1.0, (n + 1) / 2.0
         )
-    # even n: |2a Gamma(2a)| = Gamma(2a+1), so the gamma ratio collapses and a
-    # square-root factor appears instead.
-    return float(
-        _log_abs_binom(n / 2.0 + alpha, n / 2.0)
-        + gammaln(n + 2.0)
-        + gammaln(2.0 * alpha + 1.0)
-        - gammaln(n + 2.0 * alpha + 1.0)
-        - 0.5 * math.log((n + 1.0) * (n + 2.0 * alpha + 1.0))
-    )
+    else:
+        # even n: |2a Gamma(2a)| = Gamma(2a+1), so the gamma ratio collapses and
+        # a square-root factor appears instead.
+        head = (
+            _log_abs_binom(n / 2.0 + alpha, n / 2.0)
+            + math.lgamma(2.0 * alpha + 1.0)
+            - 0.5 * math.log((n + 1.0) * (n + 2.0 * alpha + 1.0))
+        )
+    return head - math.lgamma(n + alpha + 1.0)
 
 
 def _check_point(x: float, length: float) -> None:
@@ -107,24 +111,19 @@ def _check_point(x: float, length: float) -> None:
 def qth_order_error_bound(inputs: BoundInputs, x: float, q: int | None = None) -> float:
     """Error bound for the order-q running-integral row at node x, given a
     sup bound on the (n+1)-st derivative of the integrand."""
-    order = inputs.q if q is None else q
-    if int(order) != order or order < 1:
-        raise ValueError(f"integration order must be a positive integer, got {order}")
+    order = _checked_order(inputs.q if q is None else q)
     spec = inputs.spec
     _check_point(x, spec.length)
     n, alpha, length = spec.degree, spec.alpha, spec.length
     log_val = (
         _log_or_zero(inputs.deriv_sup)
         - (2 * n + 1) * _LOG2
-        + gammaln(alpha + 1.0)
+        + math.lgamma(alpha + 1.0)
         + _log_or_zero(x)
         + (n + 1) * math.log(length)
-        + gammaln(n + 2.0 * alpha + 1.0)
-        - gammaln(2.0 * alpha + 1.0)
-        - gammaln(n + 2.0)
-        - gammaln(n + alpha + 1.0)
-        - gammaln(float(order))
-        + _branch_log_factor(alpha, n)
+        - math.lgamma(2.0 * alpha + 1.0)
+        - math.lgamma(float(order))
+        + _log_degree_factor(alpha, n)
     )
     return float(np.exp(log_val))
 
@@ -141,9 +140,7 @@ def uniform_sup_error_bound(inputs: BoundInputs, x: float, q: int | None = None)
     to order n+1; the product-rule expansion then contributes a factor
     2^(n+1) and the leibniz_sup term relative to the order-specific bound.
     """
-    order = inputs.q if q is None else q
-    if int(order) != order or order < 1:
-        raise ValueError(f"integration order must be a positive integer, got {order}")
+    order = _checked_order(inputs.q if q is None else q)
     spec = inputs.spec
     _check_point(x, spec.length)
     n, alpha, length = spec.degree, spec.alpha, spec.length
@@ -153,13 +150,10 @@ def uniform_sup_error_bound(inputs: BoundInputs, x: float, q: int | None = None)
         + (n + 1) * math.log(length)
         + _log_or_zero(inputs.leibniz_sup)
         + _log_or_zero(x)
-        + gammaln(alpha + 1.0)
-        + gammaln(n + 2.0 * alpha + 1.0)
-        - gammaln(n + 2.0)
-        - gammaln(float(order))
-        - gammaln(n + alpha + 1.0)
-        - gammaln(2.0 * alpha + 1.0)
-        + _branch_log_factor(alpha, n)
+        + math.lgamma(alpha + 1.0)
+        - math.lgamma(float(order))
+        - math.lgamma(2.0 * alpha + 1.0)
+        + _log_degree_factor(alpha, n)
     )
     return float(np.exp(log_val))
 
@@ -172,10 +166,7 @@ def _log_temporal_part(inputs_t: BoundInputs, t: float) -> float:
         + _log_or_zero(inputs_t.deriv_sup)
         + (n + 1) * math.log(horizon)
         + _log_or_zero(t)
-        - gammaln(n + 2.0)
-        - gammaln(n + alpha + 1.0)
-        + gammaln(n + 2.0 * alpha + 1.0)
-        + _branch_log_factor(alpha, n)
+        + _log_degree_factor(alpha, n)
     )
 
 
@@ -188,10 +179,7 @@ def _log_spatial_part(inputs_y: BoundInputs, y: float) -> float:
         + _log_or_zero(inputs_y.leibniz_sup)
         + _log_or_zero(y)
         + (n + 1) * math.log(length)
-        + gammaln(n + 2.0 * alpha + 1.0)
-        - gammaln(n + 2.0)
-        - gammaln(n + alpha + 1.0)
-        + _branch_log_factor(alpha, n)
+        + _log_degree_factor(alpha, n)
     )
 
 
@@ -210,7 +198,7 @@ def dynamics_residual_bound(
         raise ValueError("space and time rules must share the family parameter")
     _check_point(y, inputs_y.spec.length)
     _check_point(t, inputs_t.spec.length)
-    log_front = float(gammaln(alpha + 1.0) - _LOG2 - gammaln(2.0 * alpha + 1.0))
+    log_front = math.lgamma(alpha + 1.0) - _LOG2 - math.lgamma(2.0 * alpha + 1.0)
     with np.errstate(over="ignore"):
         eps1 = np.exp(_log_temporal_part(inputs_t, t))
         eps2 = np.exp(_log_spatial_part(inputs_y, y))
@@ -223,6 +211,7 @@ def asymptotic_shape(n: int, length: float, x: float, alpha: float, q: int = 1) 
     alpha >= 0, and the same without alpha in the exponent otherwise."""
     if n < 1:
         raise ValueError("shape function needs n >= 1")
+    _checked_order(q)
     expo = n + 1.5 - alpha if alpha >= 0.0 else n + 1.5
     log_val = (
         n
@@ -230,7 +219,7 @@ def asymptotic_shape(n: int, length: float, x: float, alpha: float, q: int = 1) 
         + _log_or_zero(x)
         - (2 * n + 1) * _LOG2
         - expo * math.log(n)
-        - gammaln(float(q))
+        - math.lgamma(float(q))
     )
     return float(np.exp(log_val))
 

@@ -70,6 +70,10 @@ class RunConfig:
     eval_grid: int = 101
     dump_matrices: bool = False
 
+    def __post_init__(self) -> None:
+        if self.eval_grid < 2:
+            raise ConfigError("eval grid needs at least two sample points")
+
     def cells(self) -> list[tuple[int, int, float]]:
         """Deterministic cell list, sorted by grid size then alpha."""
         if self.n_t is None:
@@ -446,8 +450,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             dump_matrices=args.dump_matrices,
         )
         config.cells()  # validate cell construction before doing any work
-        if config.eval_grid < 2:
-            raise ConfigError("eval grid needs at least two sample points")
         records, _ = run_sweep(config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -3,19 +3,21 @@ Gegenbauer family.
 
 Nodes on [0, length] are the images of the Gauss points of the weight
 (1 - z^2)^(alpha - 1/2) on [-1, 1] under z -> (z + 1) length / 2.  The
-Christoffel numbers are kept in the unshifted convention: they are the
-[-1, 1] Gauss weights, reused unchanged for the shifted nodes.  Every
-interval-length factor lives explicitly in the barycentric-weight formula
-and in the integration operators, never inside the stored weights.
+eigenvalues of the Jacobi matrix seed them and Newton steps polish them.
+The Christoffel numbers come in closed form from the derivative of the
+family member at the polished nodes, so no eigenvectors are needed.  They
+are kept in the unshifted convention: they are the [-1, 1] Gauss weights,
+reused unchanged for the shifted nodes.  Every interval-length factor lives
+explicitly in the barycentric-weight formula and in the integration
+operators, never inside the stored weights.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import betaln
 
 from .polycore import BasisSpec, gegenbauer_with_derivative
 
@@ -81,25 +83,23 @@ def shifted_weight_moment(alpha: float, length: float, k: int) -> float:
     / B(a + 1/2, a + 1/2), evaluated in the log domain.
     """
     a = alpha + 0.5
-    return float(np.exp(2.0 * alpha * np.log(2.0) + k * np.log(length) + betaln(k + a, a)))
+    log_beta = math.lgamma(k + a) + math.lgamma(a) - math.lgamma(k + 2.0 * a)
+    return float(np.exp(2.0 * alpha * np.log(2.0) + k * np.log(length) + log_beta))
 
 
 def sgg_rule(spec: BasisSpec) -> QuadratureRule:
     """Gauss rule on [0, spec.length]: nodes are the roots of the shifted
-    degree-(spec.degree + 1) family member.
+    degree-(spec.degree + 1) family member P.
 
     Eigenvalues of the symmetric Jacobi matrix seed the roots; two Newton
-    corrections polish them to round-off.
+    corrections polish them to round-off.  The Christoffel numbers are
+    w_i = c / ((1 - z_i^2) P'(z_i)^2) (Golub & Welsch 1969), with c fixed so
+    that they sum to the weight's total mass.
     """
     n = spec.degree
     npts = n + 1
-    mass = shifted_weight_moment(spec.alpha, spec.length, 0)
-    if npts == 1:
-        z = np.zeros(1)
-        w = np.array([mass])
-    else:
-        z, vecs = eigh_tridiagonal(np.zeros(npts), _recurrence_offdiag(spec.alpha, n))
-        w = mass * vecs[0, :] ** 2
+    off = _recurrence_offdiag(spec.alpha, n)
+    z = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
     # Newton polish on the unshifted interval, then enforce exact symmetry.
     for _ in range(2):
         val, der = gegenbauer_with_derivative(spec.alpha, npts, z)
@@ -110,6 +110,9 @@ def sgg_rule(spec: BasisSpec) -> QuadratureRule:
     worst = int(np.argmax(final_step))
     if final_step[worst] > 1e-12:
         raise RootSolveError(worst, float(final_step[worst]))
+    # Dividing by max |P'| first keeps the square finite at large alpha.
+    w = (np.abs(der).max() / der) ** 2 / (1.0 - z * z)
+    w *= shifted_weight_moment(spec.alpha, spec.length, 0) / w.sum()
     z = 0.5 * (z - z[::-1])
     w = 0.5 * (w + w[::-1])
     x = (z + 1.0) * (0.5 * spec.length)

@@ -15,10 +15,10 @@ affine map z = 2 x / length - 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "BasisSpec",
@@ -118,10 +118,10 @@ def log_leading_coefficient(spec: BasisSpec) -> float:
     # the shift contributes (2 / length)^n.  All gamma arguments are positive.
     log_k = (
         (n - 1) * np.log(2.0)
-        + gammaln(n + alpha)
-        - gammaln(1.0 + alpha)
-        + gammaln(1.0 + 2.0 * alpha)
-        - gammaln(n + 2.0 * alpha)
+        + math.lgamma(n + alpha)
+        - math.lgamma(1.0 + alpha)
+        + math.lgamma(1.0 + 2.0 * alpha)
+        - math.lgamma(n + 2.0 * alpha)
     )
     return float(log_k + n * (np.log(2.0) - np.log(spec.length)))
 

@@ -408,6 +408,11 @@ class TestAsymptoticShape:
         with pytest.raises(ValueError):
             asymptotic_shape(0, 1.0, 0.5, 0.0)
 
+    @pytest.mark.parametrize("q", [0, 1.5])
+    def test_rejects_bad_order(self, q):
+        with pytest.raises(ValueError, match="integration order must be a positive integer"):
+            asymptotic_shape(4, 1.0, 0.5, 0.0, q=q)
+
     def test_fit_constant_is_max_ratio(self):
         samples = [(n, 0.5, 3.0 * asymptotic_shape(n, 1.0, 0.5, 0.0)) for n in range(4, 9)]
         # perturb one entry downward; the max ratio must still be 3

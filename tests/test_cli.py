@@ -2,8 +2,8 @@
 orchestration, score computation and the CSV/JSON artifacts it writes.
 
 Everything runs in-process through main(argv) so exit codes and outputs are
-asserted without spawning shells; one subprocess test covers the module
-entry point itself.
+asserted without spawning shells; subprocess tests cover the module entry
+point, the scripts' help text and the modules a fresh process loads.
 """
 
 from __future__ import annotations
@@ -177,6 +177,12 @@ class TestRunSweep:
         )
         assert math.isnan(failed[0].j)
         assert (4, 4, 0.0) in solutions
+
+    def test_eval_grid_below_two_rejected_before_any_cell(self, tmp_path):
+        out = tmp_path / "o"
+        with pytest.raises(ConfigError, match="eval grid needs at least two sample points"):
+            run_sweep(RunConfig(n_y=(4,), eval_grid=1, out=out))
+        assert not out.exists()
 
     def test_failure_text_reads_back_from_report(self, tmp_path):
         # The message contains commas, so report.csv must quote it.
@@ -428,6 +434,33 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "--alpha" in proc.stdout
         assert "--dump-matrices" in proc.stdout
+
+
+class TestRuntimeDependencies:
+    def test_package_loads_no_scipy(self):
+        # SciPy is a test-only dependency: importing every module and solving
+        # a cell must not load it.
+        package_root = Path(gegopt.__file__).resolve().parents[1]
+        child = (
+            "import sys\n"
+            "import gegopt, gegopt.cli, gegopt.bounds, gegopt.intmat, gegopt.interp\n"
+            "import gegopt.nodes, gegopt.polycore, gegopt.qpsolve, gegopt.transcribe\n"
+            "from gegopt.cli import run_single\n"
+            "from gegopt.transcribe import DiffusionOcp\n"
+            "ocp = DiffusionOcp(length=4.0, t_final=1.0, r1=0.5, r2=0.5, initial=lambda y: 1.0 + y)\n"
+            "record, _ = run_single(ocp, 4, 4, 0.0)\n"
+            "assert record.error == '' and record.j > 0.0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True,
+            text=True,
+            check=False,
+            env=dict(os.environ, PYTHONPATH=str(package_root)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestScripts:

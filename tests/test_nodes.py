@@ -1,7 +1,8 @@
 """Tests for Gauss nodes, Christoffel numbers and barycentric weights.
 
 Oracles: closed-form Chebyshev roots at alpha = 0, the numpy Gauss-Legendre
-rule at alpha = 1/2, closed-form weight moments for exactness, and the
+rule at alpha = 1/2, the closed-form Gauss-Chebyshev weights of both kinds
+up to degree 1024, closed-form weight moments for exactness, and the
 classical sine form of Chebyshev barycentric weights.
 """
 
@@ -89,6 +90,26 @@ class TestClosedFormReductions:
         classical = (-1.0) ** np.arange(degree + 1) * np.sqrt((1.0 - z * z) * w)
         ratio = rule.bary_weights / classical
         np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12)
+
+
+class TestHighDegreeChristoffel:
+    """Christoffel numbers far above the degrees the other checks reach."""
+
+    @pytest.mark.parametrize("degree", [64, 256, 1024])
+    def test_chebyshev_first_kind(self, degree):
+        # alpha = 0: every Gauss-Chebyshev weight is pi / (n + 1).
+        rule = sgg_rule(BasisSpec(alpha=0.0, length=1.0, degree=degree))
+        np.testing.assert_allclose(rule.christoffel, np.pi / (degree + 1), rtol=1e-10)
+
+    @pytest.mark.parametrize("degree", [64, 256, 1024])
+    def test_chebyshev_second_kind(self, degree):
+        # alpha = 1: the m-point weights are pi / (m + 1) sin^2(i pi / (m + 1)).
+        rule = sgg_rule(BasisSpec(alpha=1.0, length=1.0, degree=degree))
+        m = degree + 1
+        theta = np.arange(1, m + 1) * np.pi / (m + 1)
+        np.testing.assert_allclose(
+            rule.christoffel, np.pi / (m + 1) * np.sin(theta) ** 2, rtol=1e-10
+        )
 
 
 class TestQuadratureExactness:
