@@ -24,6 +24,7 @@ from .polycore import BasisSpec, gegenbauer_with_derivative
 __all__ = [
     "QuadratureRule",
     "RootSolveError",
+    "RuleWeightError",
     "sgg_rule",
     "barycentric_weights",
     "shifted_weight_moment",
@@ -38,6 +39,20 @@ class RootSolveError(RuntimeError):
         self.residual = residual
         super().__init__(
             f"node {node_index} failed to converge (Newton step {residual:.3e})"
+        )
+
+
+class RuleWeightError(RuntimeError):
+    """Raised when the Christoffel numbers or barycentric weights of a rule
+    are not all finite (P' underflows at the outer nodes for extreme alpha)."""
+
+    def __init__(self, alpha: float, degree: int, count: int):
+        self.alpha = alpha
+        self.degree = degree
+        self.count = count
+        super().__init__(
+            f"rule weights for alpha={alpha:g}, n={degree} are not finite "
+            f"at {count} node(s)"
         )
 
 
@@ -94,7 +109,8 @@ def sgg_rule(spec: BasisSpec) -> QuadratureRule:
     Eigenvalues of the symmetric Jacobi matrix seed the roots; two Newton
     corrections polish them to round-off.  The Christoffel numbers are
     w_i = c / ((1 - z_i^2) P'(z_i)^2) (Golub & Welsch 1969), with c fixed so
-    that they sum to the weight's total mass.
+    that they sum to the weight's total mass.  Weights that come out
+    non-finite raise RuleWeightError.
     """
     n = spec.degree
     npts = n + 1
@@ -110,9 +126,11 @@ def sgg_rule(spec: BasisSpec) -> QuadratureRule:
     worst = int(np.argmax(final_step))
     if final_step[worst] > 1e-12:
         raise RootSolveError(worst, float(final_step[worst]))
-    # Dividing by max |P'| first keeps the square finite at large alpha.
-    w = (np.abs(der).max() / der) ** 2 / (1.0 - z * z)
-    w *= shifted_weight_moment(spec.alpha, spec.length, 0) / w.sum()
+    # Dividing by max |P'| first keeps the square finite at large alpha;
+    # where it still overflows the weights are rejected below.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = (np.abs(der).max() / der) ** 2 / (1.0 - z * z)
+        w *= shifted_weight_moment(spec.alpha, spec.length, 0) / w.sum()
     z = 0.5 * (z - z[::-1])
     w = 0.5 * (w + w[::-1])
     x = (z + 1.0) * (0.5 * spec.length)
@@ -120,6 +138,9 @@ def sgg_rule(spec: BasisSpec) -> QuadratureRule:
         raise RootSolveError(0, float("nan"))
     rule = QuadratureRule(spec, x, w, np.zeros(npts))
     xi = barycentric_weights(rule)
+    bad = np.count_nonzero(~(np.isfinite(w) & np.isfinite(xi)))
+    if bad:
+        raise RuleWeightError(spec.alpha, n, bad)
     return QuadratureRule(spec, x, w, xi)
 
 

@@ -6,16 +6,29 @@ The first-order optimality conditions form the symmetric saddle system
     [2Q  H'] [Z     ]   [-c]
     [H   0 ] [lambda] = [ b].
 
-Unknowns whose columns of H, Q and c agree to within round-off enter the
-program only through their sum, so splitting that sum is free and the
-saddle matrix is singular but consistent.  The transcribed programs carry
-one such pair per time node: the boundary values of phi and u at y = 0.
-The solver finds these groups of equal columns itself, merges each group
-into one unknown s, solves the smaller, nonsingular saddle system by dense
-LU with one step of iterative refinement, and gives each of the k members
-of a group the value s / k.  That is the minimum-norm solution, and it
-agrees with a null-space elimination started from the minimum-norm
-feasible point.
+A transcribed program carries its `Elimination`, which condenses it onto the
+free data of the state: the dynamics rows give the interior control through
+integration matrices, and phi and u at y = 0 enter only through their sum,
+split evenly.  Its condensed saddle matrix has (N_y + 3)(N_t + 1) rows
+against about 3 (N_y + 2)(N_t + 1) for the full one.  The solver
+equilibrates it symmetrically (s_i = 1 / sqrt(max_j |k_ij|)), solves it by
+dense LU and lifts the result back to Z and lambda.  The one refinement step
+takes the residual of the full saddle system, maps it through the same
+elimination and solves the condensed matrix again; a refinement on the
+condensed residual alone would not see the round-off that D = P1^-1 carries
+into the condensed Hessian, squared in its control term.  The N_t + 1 split
+directions that the condensing removes are the reported rank deficiency.
+
+A program without an elimination (a hand-built one), or one whose condensed
+matrix is singular or has a condition estimate of at least 1 / (dim * eps),
+takes the generic path.  Unknowns whose columns of H, Q and c agree to
+within round-off enter the program only through their sum, so splitting that
+sum is free and the saddle matrix is singular but consistent.  The generic
+path finds these groups of equal columns, merges each group into one
+unknown s, solves the smaller saddle system by dense LU with one step of
+iterative refinement, and gives each of the k members of a group the value
+s / k.  That is the minimum-norm solution, and it agrees with a null-space
+elimination started from the minimum-norm feasible point.
 
 A program whose merged saddle matrix is still singular, or whose condition
 estimate reaches 1 / (dim * eps), has a null space that equal columns do
@@ -25,8 +38,8 @@ branch checks the constraint rows for rank deficiency: a nonsingular merged
 matrix already implies that H has full row rank.  Rank-deficient
 constraint rows (a genuinely overdetermined or duplicated constraint set)
 are an error and abort; an inconsistent saddle system likewise aborts
-rather than silently returning a least-squares compromise.  Residual and
-feasibility are checked on the full, unmerged system.
+rather than silently returning a least-squares compromise.  On every path
+the residual and feasibility are checked on the full, unmerged system.
 """
 
 from __future__ import annotations
@@ -166,13 +179,20 @@ def _saddle(q: np.ndarray, h: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return kkt
 
 
+def _condition(k: np.ndarray, probe: np.ndarray, back: np.ndarray) -> float:
+    """|k|_1 times two steps of Hager's estimator for |k^-1|_1: |probe|_1 with
+    probe = k^-1 e/dim, and |back|_inf with back = k^-1 sign(probe), both
+    lower bounds for a symmetric k."""
+    inv_norm = max(float(np.abs(probe).sum()), float(np.max(np.abs(back), initial=0.0)))
+    return float(np.abs(k).sum(axis=0).max(initial=0.0)) * inv_norm
+
+
 def _lu_solve(k: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray | None, float]:
     """Solve the symmetric system k x = rhs by LU with one refinement step.
 
     Returns (x, condition estimate); a singular k gives (None, inf).  The
-    estimate is |k|_1 times two steps of Hager's estimator for |k^-1|_1
-    (|k^-1 e/dim|_1 and |k^-1 sign(k^-1 e)|_inf, both lower bounds for a
-    symmetric k), carried as extra right-hand sides of the two solves.
+    estimate's probes are carried as extra right-hand sides of the two
+    solves.
     """
     dim = k.shape[0]
     try:
@@ -182,20 +202,52 @@ def _lu_solve(k: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray | None, float]
         ).T
     except np.linalg.LinAlgError:
         return None, np.inf
-    inv_norm = max(float(np.abs(probe).sum()), float(np.max(np.abs(back), initial=0.0)))
-    return x - step, float(np.abs(k).sum(axis=0).max(initial=0.0)) * inv_norm
+    return x - step, _condition(k, probe, back)
 
 
-def solve(qp: DiscreteQp) -> QpSolution:
-    """Solve the QP; returns the minimum-norm first-order optimal point."""
+def _residual(qp: DiscreteQp, z: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residual of the full saddle system: (stationarity, constraints)."""
+    return 2.0 * (qp.Q @ z) + qp.c + qp.H.T @ lam, qp.H @ z - qp.b
+
+
+def _condensed_solve(qp: DiscreteQp) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """(z, lambda, condition estimate) through the program's elimination, or
+    None when its condensed saddle matrix is singular or too ill conditioned.
+
+    The matrix is equilibrated symmetrically, s_i = 1 / sqrt(max_j |k_ij|).
+    The refinement step solves for the correction of the full saddle
+    residual, mapped through the same elimination, since the condensed
+    residual does not see the round-off of D = P1^-1 in the condensed
+    Hessian."""
+    elim = qp.elimination
+    k = elim.saddle()
+    row_max = np.abs(k).max(axis=1)
+    s = 1.0 / np.sqrt(np.where(row_max > 0.0, row_max, 1.0))
+    k *= s[:, None]
+    k *= s
+    dim = k.shape[0]
+    try:
+        z_p, r = elim.rhs(qp.c, qp.b)
+        x, probe = np.linalg.solve(k, np.column_stack([s * r, np.full(dim, 1.0 / dim)])).T
+        z, lam = elim.expand(qp.c, z_p, s * x)
+        r_s, r_c = _residual(qp, z, lam)
+        dz_p, dr = elim.rhs(-r_s, r_c)
+        step, back = np.linalg.solve(
+            k, np.column_stack([s * dr, np.where(probe < 0.0, -1.0, 1.0)])
+        ).T
+        dz, dlam = elim.expand(-r_s, dz_p, s * step)
+    except np.linalg.LinAlgError:
+        return None
+    cond = _condition(k, probe, back)
+    if not cond * dim * _EPS < 1.0:  # also a NaN estimate
+        return None
+    return z - dz, lam - dlam, cond
+
+
+def _merged_solve(qp: DiscreteQp) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """(z, lambda, condition estimate, rank deficiency) of any program: equal
+    columns merged and one LU solve, else the SVD of the full saddle matrix."""
     h, b, q, c = qp.H, qp.b, qp.Q, qp.c
-    for name, arr in (("H", h), ("b", b), ("Q", q), ("c", c)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"non-finite entries in {name}")
-    scale_q = max(1.0, float(np.max(np.abs(q)))) if q.size else 1.0
-    if q.size and float(np.max(np.abs(q - q.T))) > 1e-12 * scale_q:
-        raise ValueError("cost matrix must be symmetric")
-
     n = q.shape[0]
     rep = _equal_columns(h, q, c)
     keep = np.flatnonzero(rep == np.arange(n))
@@ -218,9 +270,29 @@ def solve(qp: DiscreteQp) -> QpSolution:
             _saddle(q, h, np.arange(n)), np.concatenate([-c, b])
         )
         z, lam = x[:n], x[n:]
+    return z, lam, cond, deficiency
+
+
+def solve(qp: DiscreteQp) -> QpSolution:
+    """Solve the QP; returns the minimum-norm first-order optimal point."""
+    h, b, q, c = qp.H, qp.b, qp.Q, qp.c
+    for name, arr in (("H", h), ("b", b), ("Q", q), ("c", c)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"non-finite entries in {name}")
+    scale_q = max(1.0, float(np.max(np.abs(q)))) if q.size else 1.0
+    if q.size and float(np.max(np.abs(q - q.T))) > 1e-12 * scale_q:
+        raise ValueError("cost matrix must be symmetric")
+
+    n = q.shape[0]
+    condensed = _condensed_solve(qp) if qp.elimination is not None else None
+    if condensed is not None:
+        z, lam, cond = condensed
+        deficiency = qp.elimination.eliminated
+    else:
+        z, lam, cond, deficiency = _merged_solve(qp)
 
     # Residual of the full saddle system: stationarity, then constraints.
-    res = np.abs(np.concatenate([2.0 * q @ z + c + h.T @ lam, h @ z - b]))
+    res = np.abs(np.concatenate(_residual(qp, z, lam)))
     rhs_scale = max(1.0, float(np.max(np.abs(np.concatenate([c, b])), initial=0.0)))
     if float(np.max(res, initial=0.0)) > 1e-7 * rhs_scale:
         raise SolveError(

@@ -28,6 +28,14 @@ The cost is the Gauss discretization of the running integral of
 r1 x^2 + r2 u^2, written both as an assembled quadratic form
 (Q, c, j0) with J(Z) = Z' Q Z + c' Z + j0 and as a literal nested
 summation used as a cross-check oracle.
+
+The assembled program also carries its `Elimination`: the dynamics rows
+solved for the interior control, D = P1^-1 applied in time, which leaves
+(N_y + 2)(N_t + 1) unknowns (the interior phi values and the sum
+phi + u at y = 0) under the N_t + 1 flux rows.  Its condensed Hessian is a
+sum of Kronecker products of the same time and space factors, so the
+solver factors a saddle matrix of (N_y + 3)(N_t + 1) rows; the full H, Q
+stay the reference for its residual checks and for the matrix dumps.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from .nodes import QuadratureRule
 __all__ = [
     "DiffusionOcp",
     "GridIndexMap",
+    "Elimination",
     "DiscreteQp",
     "Transcription",
     "assemble_dynamics",
@@ -119,8 +128,134 @@ class GridIndexMap:
 
 
 @dataclass(frozen=True)
+class Elimination:
+    """The transcribed QP condensed onto the free data of the state.
+
+    The condensed unknowns zeta form one (N_t + 1) x (N_y + 2) time-major
+    block: slots 0..N_y hold the interior phi values E phi, slot N_y + 1
+    holds v = phi_b + u_b, the sum through which alone the y = 0 values
+    enter the program.  On the dynamics rows H_d Z = r the state and the
+    interior control are affine in zeta, through integration matrices only:
+
+        x  = fbar - r + G zeta,        G = I_t (x) A + P1 (x) B,
+        Eu = K zeta - (D (x) I) r,     K = D (x) A + I_t (x) C,
+
+    with A = P2 E, B = 1 e_b', C = B - E and D = P1^-1; for the transcribed
+    r = f(y_i) - f(0) the state is x = f(0) + G zeta.  phi_b and u_b each
+    take v / 2, the minimum-norm split, so the N_t + 1 null directions that
+    split v are stated (`eliminated`), not discovered.  The condensed
+    Hessian Qc = r1 G' W G + r2 K' W K, W = W_t (x) W_y, is a sum of eight
+    Kronecker products, each an (N_t + 1)^2 time factor times an
+    (N_y + 2)^2 space factor, and the only constraints left are the N_t + 1
+    flux rows F = I_t (x) w_y' E on zeta.
+
+    `q` is the program's own dense Q: gradients of the full program are
+    taken with it, so that a condensed solve can be refined on the full
+    saddle residual.
+    """
+
+    grid: GridIndexMap
+    r1: float
+    r2: float
+    p1: np.ndarray
+    d: np.ndarray
+    a: np.ndarray
+    w_t: np.ndarray
+    w_y: np.ndarray
+    q: np.ndarray = field(repr=False)
+
+    @property
+    def eliminated(self) -> int:
+        """Null directions of the full saddle matrix: one split per time node."""
+        return self.grid.n_t + 1
+
+    def _mismatch(self) -> np.ndarray:
+        """C = 1 e_b' - E, the boundary-minus-local space factor."""
+        c = -_interior(self.grid)
+        c[:, -1] = 1.0
+        return c
+
+    def _lift(self, zeta: np.ndarray, r: np.ndarray | float) -> np.ndarray:
+        """Full unknown vector Z of zeta on the dynamics rows H_d Z = r."""
+        zeta = zeta.reshape(self.grid.n_t + 1, self.grid.n_y + 2)
+        phi = zeta.copy()
+        phi[:, -1] *= 0.5
+        u = np.empty_like(phi)
+        u[:, :-1] = self.d @ (zeta @ self.a.T - r) + zeta @ self._mismatch().T
+        u[:, -1] = phi[:, -1]
+        return np.concatenate([phi.ravel(), u.ravel()])
+
+    def _pull(self, g: np.ndarray) -> np.ndarray:
+        """T' g: a gradient in Z taken to zeta by the adjoint of the linear
+        part of `_lift`."""
+        phi, u = np.reshape(g, (2, self.grid.n_t + 1, self.grid.n_y + 2))
+        out = phi.copy()
+        out[:, -1] = 0.5 * (phi[:, -1] + u[:, -1])
+        u_int = u[:, :-1]
+        out += self.d.T @ u_int @ self.a + u_int @ self._mismatch()
+        return out.ravel()
+
+    def saddle(self) -> np.ndarray:
+        """The condensed saddle matrix [2 Qc, F'; F, 0], (N_y + 3)(N_t + 1)
+        square.  2 Qc = S + S', where S holds each symmetric term once and
+        one of each transposed pair of cross terms twice, so 2 Qc is
+        exactly symmetric."""
+        a, c = self.a, self._mismatch()
+        b = c + _interior(self.grid)
+        d, p1, w_t = self.d, self.p1, self.w_t
+
+        def gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+            return x.T @ (self.w_y[:, None] * y)
+
+        terms = (
+            (self.r1 * np.diag(w_t) + self.r2 * d.T @ (w_t[:, None] * d), gram(a, a)),
+            (self.r1 * p1.T @ (w_t[:, None] * p1), gram(b, b)),
+            (self.r2 * np.diag(w_t), gram(c, c)),
+            (2.0 * self.r1 * (w_t[:, None] * p1), gram(a, b)),
+            (2.0 * self.r2 * (d.T * w_t), gram(a, c)),
+        )
+        n = (self.grid.n_t + 1) * (self.grid.n_y + 2)
+        kkt = np.zeros((n + self.grid.n_t + 1,) * 2)
+        hess = kkt[:n, :n]
+        for t, s in terms:
+            hess += np.kron(t, s)
+        hess += hess.T
+        flux = np.kron(np.eye(self.grid.n_t + 1), np.append(self.w_y, 0.0))
+        kkt[n:, :n] = flux
+        kkt[:n, n:] = flux.T
+        return kkt
+
+    def rhs(self, c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(z_p, r) for minimizing Z' Q Z + c' Z over H Z = b: z_p solves the
+        dynamics rows with zeta = 0, and r = [-T' (2 Q z_p + c); b_flux] is
+        the condensed right-hand side."""
+        n_dyn = (self.grid.n_t + 1) * (self.grid.n_y + 1)
+        zeta = np.zeros((self.grid.n_t + 1) * (self.grid.n_y + 2))
+        z_p = self._lift(zeta, b[:n_dyn].reshape(self.grid.n_t + 1, -1))
+        grad = self._pull(2.0 * (self.q @ z_p) + c)
+        return z_p, np.concatenate([-grad, b[n_dyn:]])
+
+    def expand(
+        self, c: np.ndarray, z_p: np.ndarray, x: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(Z, lambda) from a condensed solution x = [zeta; flux multipliers].
+
+        The dynamics multipliers follow from the stationarity rows of the
+        interior control, (2 Q Z + c)_Eu = (P1' (x) I) lambda_d: one P1'
+        solve."""
+        n = (self.grid.n_t + 1) * (self.grid.n_y + 2)
+        z = z_p + self._lift(x[:n], 0.0)
+        g = np.reshape(2.0 * (self.q @ z) + c, (2, self.grid.n_t + 1, self.grid.n_y + 2))
+        lam_d = np.linalg.solve(self.p1.T, g[1, :, :-1])
+        return z, np.concatenate([lam_d.ravel(), x[n:]])
+
+
+@dataclass(frozen=True)
 class DiscreteQp:
-    """Equality-constrained QP: minimize Z' Q Z + c' Z + j0 over H Z = b."""
+    """Equality-constrained QP: minimize Z' Q Z + c' Z + j0 over H Z = b.
+
+    `elimination`, when set, condenses the program onto its free data
+    (transcribed programs); hand-built programs leave it `None`."""
 
     H: np.ndarray
     b: np.ndarray
@@ -128,6 +263,7 @@ class DiscreteQp:
     c: np.ndarray
     j0: float
     grid: GridIndexMap
+    elimination: Elimination | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -157,7 +293,12 @@ class Transcription:
         h, b = combine(a_phi, a_u, psi, rhs)
         rows = (self.op_y1.full_interval_row, self.op_t1.full_interval_row)
         q, c, j0 = assemble_cost(self.ocp, self.grid, self.rule_y.nodes, self.op_t1, *rows)
-        return DiscreteQp(H=h, b=b, Q=q, c=c, j0=j0, grid=self.grid)
+        p1 = self.op_t1.matrix
+        elimination = Elimination(
+            grid=self.grid, r1=self.ocp.r1, r2=self.ocp.r2, p1=p1, d=np.linalg.inv(p1),
+            a=self.op_y2.matrix @ _interior(self.grid), w_t=rows[1], w_y=rows[0], q=q,
+        )
+        return DiscreteQp(H=h, b=b, Q=q, c=c, j0=j0, grid=self.grid, elimination=elimination)
 
 
 def _check_operator(op: IntegrationOperator, order: int, size: int, length: float) -> None:

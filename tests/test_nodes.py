@@ -18,6 +18,7 @@ from gegopt.polycore import BasisSpec
 from gegopt.nodes import (
     QuadratureRule,
     RootSolveError,
+    RuleWeightError,
     barycentric_weights,
     sgg_rule,
     shifted_weight_moment,
@@ -182,6 +183,14 @@ class TestStructure:
         np.testing.assert_allclose(
             barycentric_weights(rule), rule.bary_weights, atol=0
         )
+
+    def test_non_finite_weights_raise_typed_error(self):
+        """At alpha = 300, n = 1024, P' underflows at the outer nodes."""
+        with pytest.raises(RuleWeightError) as exc:
+            sgg_rule(BasisSpec(alpha=300.0, length=1.0, degree=1024))
+        assert exc.value.alpha == 300.0 and exc.value.degree == 1024
+        assert exc.value.count > 0
+        assert "alpha=300" in str(exc.value) and "n=1024" in str(exc.value)
 
     def test_root_solve_error_carries_context(self):
         err = RootSolveError(node_index=3, residual=1e-3)

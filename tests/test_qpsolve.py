@@ -203,7 +203,7 @@ class TestEqualColumns:
         assert sol.kkt_rank_deficiency == 2
 
     def test_round_off_differences_still_merged(self, monkeypatch):
-        qp = reference_qp(4)
+        qp = dataclasses.replace(reference_qp(4), elimination=None)
         pos = int(qp.grid.block_size + qp.grid.index(qp.grid.n_y + 1, 2))
         h, q = qp.H.copy(), qp.Q.copy()
         h[:, pos] = np.nextafter(h[:, pos], np.inf)
@@ -226,7 +226,7 @@ class TestEqualColumns:
     def test_merged_solve_matches_svd_fallback(self, monkeypatch, alpha):
         """Without merging, the singular saddle matrix of a transcribed
         program must be sent to the SVD fallback, which agrees."""
-        qp = reference_qp(8, alpha)
+        qp = dataclasses.replace(reference_qp(8, alpha), elimination=None)
         merged = solve(qp)
         monkeypatch.setattr(qpsolve, "_equal_columns", lambda h, q, c: np.arange(q.shape[0]))
         fallback = solve(qp)
@@ -243,6 +243,58 @@ class TestEqualColumns:
         sol = solve(reference_qp(6))
         assert sol.kkt_rank_deficiency == 7
         assert sol.feasibility < 1e-10
+
+
+class TestCondensedSolve:
+    """Transcribed programs are solved through their elimination: a saddle
+    matrix of (N_y + 3)(N_t + 1) rows instead of the merged full one."""
+
+    def test_factored_matrix_is_the_condensed_one(self, monkeypatch):
+        shapes = []
+        real_solve = np.linalg.solve
+
+        def recording_solve(a, b):
+            shapes.append(a.shape)
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        solve(reference_qp(8))
+        assert max(shapes) == (99, 99)
+
+    @pytest.mark.parametrize("alpha", [-0.4, -0.2, 0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    def test_agrees_with_generic_path(self, n, alpha):
+        qp = reference_qp(n, alpha)
+        condensed = solve(qp)
+        generic = solve(dataclasses.replace(qp, elimination=None))
+        np.testing.assert_allclose(condensed.z, generic.z, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(
+            condensed.multipliers, generic.multipliers, rtol=0, atol=1e-12
+        )
+        assert condensed.j == pytest.approx(generic.j, rel=0, abs=1e-12)
+        assert condensed.kkt_rank_deficiency == generic.kkt_rank_deficiency == n + 1
+
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            pytest.param(lambda dim: np.zeros((dim, dim)), id="singular"),
+            pytest.param(
+                lambda dim: 1.0 / (np.arange(dim)[:, None] + np.arange(dim) + 1.0),
+                id="ill-conditioned",
+            ),
+            pytest.param(lambda dim: np.full((dim, dim), np.nan), id="not-finite"),
+        ],
+    )
+    def test_failed_condensed_matrix_falls_through(self, monkeypatch, broken):
+        qp = reference_qp(6)
+        generic = solve(dataclasses.replace(qp, elimination=None))
+        dim = qp.elimination.saddle().shape[0]
+        monkeypatch.setattr(type(qp.elimination), "saddle", lambda self: broken(dim))
+        sol = solve(qp)
+        np.testing.assert_array_equal(sol.z, generic.z)
+        np.testing.assert_array_equal(sol.multipliers, generic.multipliers)
+        assert sol.j == generic.j
+        assert sol.kkt_rank_deficiency == qp.grid.n_t + 1
 
 
 class TestDiagnostics:
