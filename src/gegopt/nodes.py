@@ -155,13 +155,16 @@ def barycentric_weights(rule: QuadratureRule) -> np.ndarray:
     """
     spec = rule.spec
     x, w = rule.nodes, rule.christoffel
-    radicand = (
-        4.0**spec.alpha
-        * spec.length ** (-2.0 * (1.0 + spec.alpha))
-        * (spec.length - x)
-        * x
-        * w
-    )
+    # In NumPy, so that an overflowing power at extreme alpha gives inf (and
+    # the caller's finite check names alpha and n) instead of OverflowError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        radicand = (
+            np.float64(4.0) ** spec.alpha
+            * np.float64(spec.length) ** (-2.0 * (1.0 + spec.alpha))
+            * (spec.length - x)
+            * x
+            * w
+        )
     if np.any(radicand < 0.0):
         raise ValueError("negative radicand in barycentric weight formula")
     signs = np.where(np.arange(x.size) % 2 == 0, 1.0, -1.0)

@@ -148,10 +148,6 @@ class Elimination:
     Kronecker products, each an (N_t + 1)^2 time factor times an
     (N_y + 2)^2 space factor, and the only constraints left are the N_t + 1
     flux rows F = I_t (x) w_y' E on zeta.
-
-    `q` is the program's own dense Q: gradients of the full program are
-    taken with it, so that a condensed solve can be refined on the full
-    saddle residual.
     """
 
     grid: GridIndexMap
@@ -162,7 +158,6 @@ class Elimination:
     a: np.ndarray
     w_t: np.ndarray
     w_y: np.ndarray
-    q: np.ndarray = field(repr=False)
 
     @property
     def eliminated(self) -> int:
@@ -225,18 +220,20 @@ class Elimination:
         kkt[:n, n:] = flux.T
         return kkt
 
-    def rhs(self, c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def rhs(
+        self, q: np.ndarray, c: np.ndarray, b: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """(z_p, r) for minimizing Z' Q Z + c' Z over H Z = b: z_p solves the
         dynamics rows with zeta = 0, and r = [-T' (2 Q z_p + c); b_flux] is
         the condensed right-hand side."""
         n_dyn = (self.grid.n_t + 1) * (self.grid.n_y + 1)
         zeta = np.zeros((self.grid.n_t + 1) * (self.grid.n_y + 2))
         z_p = self._lift(zeta, b[:n_dyn].reshape(self.grid.n_t + 1, -1))
-        grad = self._pull(2.0 * (self.q @ z_p) + c)
+        grad = self._pull(2.0 * (q @ z_p) + c)
         return z_p, np.concatenate([-grad, b[n_dyn:]])
 
     def expand(
-        self, c: np.ndarray, z_p: np.ndarray, x: np.ndarray
+        self, q: np.ndarray, c: np.ndarray, z_p: np.ndarray, x: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """(Z, lambda) from a condensed solution x = [zeta; flux multipliers].
 
@@ -245,7 +242,7 @@ class Elimination:
         solve."""
         n = (self.grid.n_t + 1) * (self.grid.n_y + 2)
         z = z_p + self._lift(x[:n], 0.0)
-        g = np.reshape(2.0 * (self.q @ z) + c, (2, self.grid.n_t + 1, self.grid.n_y + 2))
+        g = np.reshape(2.0 * (q @ z) + c, (2, self.grid.n_t + 1, self.grid.n_y + 2))
         lam_d = np.linalg.solve(self.p1.T, g[1, :, :-1])
         return z, np.concatenate([lam_d.ravel(), x[n:]])
 
@@ -296,7 +293,7 @@ class Transcription:
         p1 = self.op_t1.matrix
         elimination = Elimination(
             grid=self.grid, r1=self.ocp.r1, r2=self.ocp.r2, p1=p1, d=np.linalg.inv(p1),
-            a=self.op_y2.matrix @ _interior(self.grid), w_t=rows[1], w_y=rows[0], q=q,
+            a=self.op_y2.matrix @ _interior(self.grid), w_t=rows[1], w_y=rows[0],
         )
         return DiscreteQp(H=h, b=b, Q=q, c=c, j0=j0, grid=self.grid, elimination=elimination)
 

@@ -185,12 +185,14 @@ class TestStructure:
         )
 
     def test_non_finite_weights_raise_typed_error(self):
-        """At alpha = 300, n = 1024, P' underflows at the outer nodes."""
-        with pytest.raises(RuleWeightError) as exc:
-            sgg_rule(BasisSpec(alpha=300.0, length=1.0, degree=1024))
-        assert exc.value.alpha == 300.0 and exc.value.degree == 1024
-        assert exc.value.count > 0
-        assert "alpha=300" in str(exc.value) and "n=1024" in str(exc.value)
+        """At alpha = 300, n = 1024, P' underflows at the outer nodes; from
+        alpha = 512 on, 4^alpha in the barycentric weights overflows."""
+        for alpha, n in ((300.0, 1024), (600.0, 64), (1000.0, 64)):
+            with pytest.raises(RuleWeightError) as exc:
+                sgg_rule(BasisSpec(alpha=alpha, length=1.0, degree=n))
+            assert exc.value.alpha == alpha and exc.value.degree == n
+            assert exc.value.count > 0
+            assert f"alpha={alpha:g}" in str(exc.value) and f"n={n}" in str(exc.value)
 
     def test_root_solve_error_carries_context(self):
         err = RootSolveError(node_index=3, residual=1e-3)

@@ -16,7 +16,6 @@ from scipy.linalg import lstsq, null_space
 from gegopt.polycore import BasisSpec
 from gegopt.nodes import sgg_rule
 from gegopt.transcribe import DiffusionOcp, DiscreteQp, GridIndexMap, build
-from gegopt import qpsolve
 from gegopt.qpsolve import (
     QpSolution,
     RankDeficientError,
@@ -184,10 +183,10 @@ class TestTranscribedStructure:
         assert sol.kkt_residual < 1e-8
 
 
-class TestEqualColumns:
-    """Columns that H, Q and c cannot tell apart are merged before the LU
-    solve and share their sum evenly; anything else singular goes to the
-    SVD fallback on the full saddle matrix."""
+class TestGenericPath:
+    """Programs without an elimination are solved through the SVD of the
+    full saddle matrix: columns that H, Q and c cannot tell apart share
+    their sum evenly, as in any minimum-norm solution."""
 
     def test_three_equal_columns_share_evenly(self):
         sol = solve(toy_qp([[1.0, 1.0, 1.0]], [1.0], np.zeros((3, 3)), np.zeros(3)))
@@ -202,52 +201,35 @@ class TestEqualColumns:
         np.testing.assert_allclose(sol.z, [1 / 3, 1 / 3, 2 / 3], atol=1e-14)
         assert sol.kkt_rank_deficiency == 2
 
-    def test_round_off_differences_still_merged(self, monkeypatch):
+    def test_round_off_differences_counted_as_null_directions(self):
         qp = dataclasses.replace(reference_qp(4), elimination=None)
         pos = int(qp.grid.block_size + qp.grid.index(qp.grid.n_y + 1, 2))
         h, q = qp.H.copy(), qp.Q.copy()
         h[:, pos] = np.nextafter(h[:, pos], np.inf)
         q[:, pos] = np.nextafter(q[:, pos], np.inf)
         q[pos, :] = q[:, pos]
-        monkeypatch.setattr(np.linalg, "svd", None)
         sol = solve(dataclasses.replace(qp, H=h, Q=q))
         assert sol.kkt_rank_deficiency == 5
 
-    def test_columns_differing_beyond_round_off_kept_apart(self):
-        qp = reference_qp(4)
-        pos = int(qp.grid.index(qp.grid.n_y + 1, 2))
-        h = qp.H.copy()
-        h[np.flatnonzero(h[:, pos])[0], pos] += 1e-6
-        rep = qpsolve._equal_columns(h, qp.Q, qp.c)
-        assert rep[qp.grid.block_size + pos] == qp.grid.block_size + pos
-        assert np.count_nonzero(rep != np.arange(rep.size)) == 4
+    @pytest.mark.parametrize(
+        "n, alpha", [(6, 0.0), (4, -0.4), (4, 0.9), (12, -0.4), (12, 0.9), (16, 0.0)]
+    )
+    def test_transcribed_solve_needs_no_svd(self, monkeypatch, n, alpha):
+        """Transcribed programs across the benchmark's range stay on the
+        condensed route."""
 
-    @pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.5])
-    def test_merged_solve_matches_svd_fallback(self, monkeypatch, alpha):
-        """Without merging, the singular saddle matrix of a transcribed
-        program must be sent to the SVD fallback, which agrees."""
-        qp = dataclasses.replace(reference_qp(8, alpha), elimination=None)
-        merged = solve(qp)
-        monkeypatch.setattr(qpsolve, "_equal_columns", lambda h, q, c: np.arange(q.shape[0]))
-        fallback = solve(qp)
-        np.testing.assert_allclose(merged.z, fallback.z, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(merged.multipliers, fallback.multipliers, rtol=0, atol=1e-12)
-        assert merged.j == pytest.approx(fallback.j, rel=0, abs=1e-12)
-        assert merged.kkt_rank_deficiency == fallback.kkt_rank_deficiency == 9
-
-    def test_transcribed_solve_needs_no_svd(self, monkeypatch):
         def no_svd(*args, **kwargs):
             raise AssertionError("np.linalg.svd called")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        sol = solve(reference_qp(6))
-        assert sol.kkt_rank_deficiency == 7
+        sol = solve(reference_qp(n, alpha))
+        assert sol.kkt_rank_deficiency == n + 1
         assert sol.feasibility < 1e-10
 
 
 class TestCondensedSolve:
     """Transcribed programs are solved through their elimination: a saddle
-    matrix of (N_y + 3)(N_t + 1) rows instead of the merged full one."""
+    matrix of (N_y + 3)(N_t + 1) rows instead of the full one."""
 
     def test_factored_matrix_is_the_condensed_one(self, monkeypatch):
         shapes = []
