@@ -23,7 +23,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -178,7 +178,7 @@ def run_single(
     with _stage("transcribe", n_y, n_t, alpha):
         trans = build(ocp, rule_y, rule_t)
     with _stage("solve", n_y, n_t, alpha):
-        sol = solve(trans.qp)
+        sol = solve(trans.factored)
     with _stage("recover", n_y, n_t, alpha):
         phi, u = trans.grid.fields(sol.z)
         x = recover_state(sol.z, trans.grid, trans.op_t1, ocp, rule_y.nodes)
@@ -200,8 +200,7 @@ def run_single(
         wall_time_s=wall,
     )
     solution = OcpSolution(
-        # A sweep keeps every cell's solution; its dense H and Q are rebuilt on access.
-        transcription=replace(trans, assembled=None),
+        transcription=trans,
         qp_solution=sol,
         z=sol.z,
         phi=phi,

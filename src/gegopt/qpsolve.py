@@ -12,7 +12,10 @@ The solver has two routes.
 the free data of the state: the dynamics rows give the interior control
 through integration matrices, and phi and u at y = 0 enter only through
 their sum, split evenly.  Its condensed saddle matrix has (N_y + 3)(N_t + 1)
-rows against about 3 (N_y + 2)(N_t + 1) for the full one.  The solver
+rows against about 3 (N_y + 2)(N_t + 1) for the full one.  This route reads
+nothing but the elimination: b, c, j0 and the products with Q, H and H'
+come from its Kronecker factors, and its input checks ask that the factors
+be finite and Q's time and space factors symmetric.  The solver
 equilibrates it symmetrically (s_i = 1 / sqrt(max_j |k_ij|)), solves it by
 dense LU and lifts the result back to Z and lambda.  The one refinement step
 takes the residual of the full saddle system, maps it through the same
@@ -30,21 +33,25 @@ the full saddle matrix with one refinement step.  Singular values below the
 dense-rank cutoff count as zeros, so a singular but consistent system gets
 its minimum-norm solution; the rank deficiency is their number, and
 `kkt_condition` is s_max / s_min over the kept singular values.  This route
-first checks the constraint rows: rank-deficient rows (a genuinely
-overdetermined or duplicated constraint set) are an error and abort.
+reads the dense program (for a transcribed one, `Transcription.qp` is
+assembled here) and checks that H, b, Q, c are finite and Q symmetric, then
+the constraint rows: rank-deficient rows (a genuinely overdetermined or
+duplicated constraint set) are an error and abort.  A saddle matrix whose
+entries overflow is rejected before the factorization.
 
 On both routes the residual and feasibility are checked on the full saddle
-system, and an inconsistent system aborts rather than silently returning a
-least-squares compromise.
+system, and an inconsistent system, a residual that is not a number and an
+objective that overflows abort rather than silently returning a
+least-squares compromise or an infinite cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .transcribe import DiscreteQp
+from .transcribe import DiscreteQp, Elimination, FactoredQp
 
 __all__ = [
     "QpSolution",
@@ -114,7 +121,7 @@ def _min_norm_solve(k: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float, 
     u, s, vt = np.linalg.svd(k)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros(k.shape[1]), 1.0, k.shape[0]
-    cutoff = s[0] * max(k.shape) * np.finfo(float).eps
+    cutoff = s[0] * (max(k.shape) * _EPS)
     rank = int(np.count_nonzero(s > cutoff))
     u_r, s_r, vt_r = u[:, :rank], s[:rank], vt[:rank]
 
@@ -135,21 +142,60 @@ def _condition(k: np.ndarray, probe: np.ndarray, back: np.ndarray) -> float:
     return float(np.abs(k).sum(axis=0).max(initial=0.0)) * inv_norm
 
 
-def _residual(qp: DiscreteQp, z: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _Dense:
+    """A dense program behind the products and data an `Elimination` gives.
+    Its arrays must be finite and Q symmetric."""
+
+    def __init__(self, qp: DiscreteQp | FactoredQp):
+        self.h, self.q, self.b, self.c, self.j0 = qp.H, qp.Q, qp.b, qp.c, qp.j0
+        for name, arr in (("H", self.h), ("b", self.b), ("Q", self.q), ("c", self.c)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"non-finite entries in {name}")
+        q = self.q
+        scale_q = max(1.0, float(np.max(np.abs(q)))) if q.size else 1.0
+        if q.size and float(np.max(np.abs(q - q.T))) > 1e-12 * scale_q:
+            raise ValueError("cost matrix must be symmetric")
+
+    def q_mul(self, z: np.ndarray) -> np.ndarray:
+        return self.q @ z
+
+    def h_mul(self, z: np.ndarray) -> np.ndarray:
+        return self.h @ z
+
+    def ht_mul(self, lam: np.ndarray) -> np.ndarray:
+        return self.h.T @ lam
+
+
+def _residual(
+    prog: Elimination | _Dense, z: np.ndarray, lam: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Residual of the full saddle system: (stationarity, constraints)."""
-    return 2.0 * (qp.Q @ z) + qp.c + qp.H.T @ lam, qp.H @ z - qp.b
+    return 2.0 * prog.q_mul(z) + prog.c + prog.ht_mul(lam), prog.h_mul(z) - prog.b
 
 
-def _condensed_solve(qp: DiscreteQp) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """(z, lambda, condition estimate) through the program's elimination, or
-    None when its condensed saddle matrix is singular or too ill conditioned.
+def _check_factors(elim: Elimination) -> None:
+    """An elimination's factors and data must be finite, and the time and
+    space factors of Q symmetric."""
+    for f in fields(elim):
+        value = getattr(elim, f.name)
+        if f.name != "grid" and not np.all(np.isfinite(value)):
+            raise ValueError(f"non-finite entries in elimination factor {f.name}")
+    for name in ("q_t", "q_y"):
+        factor = getattr(elim, name)
+        scale = max(1.0, float(np.max(np.abs(factor), initial=0.0)))
+        if float(np.max(np.abs(factor - factor.T), initial=0.0)) > 1e-12 * scale:
+            raise ValueError(f"cost factor {name} must be symmetric")
+
+
+def _condensed_solve(elim: Elimination) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """(z, lambda, condition estimate) through the elimination, or None when
+    its condensed saddle matrix is singular or too ill conditioned.
 
     The matrix is equilibrated symmetrically, s_i = 1 / sqrt(max_j |k_ij|).
     The refinement step solves for the correction of the full saddle
     residual, mapped through the same elimination, since the condensed
     residual does not see the round-off of D = P1^-1 in the condensed
     Hessian."""
-    elim = qp.elimination
     k = elim.saddle()
     row_max = np.abs(k).max(axis=1)
     s = 1.0 / np.sqrt(np.where(row_max > 0.0, row_max, 1.0))
@@ -157,15 +203,15 @@ def _condensed_solve(qp: DiscreteQp) -> tuple[np.ndarray, np.ndarray, float] | N
     k *= s
     dim = k.shape[0]
     try:
-        z_p, r = elim.rhs(qp.Q, qp.c, qp.b)
+        z_p, r = elim.rhs(elim.c, elim.b)
         x, probe = np.linalg.solve(k, np.column_stack([s * r, np.full(dim, 1.0 / dim)])).T
-        z, lam = elim.expand(qp.Q, qp.c, z_p, s * x)
-        r_s, r_c = _residual(qp, z, lam)
-        dz_p, dr = elim.rhs(qp.Q, -r_s, r_c)
+        z, lam = elim.expand(elim.c, z_p, s * x)
+        r_s, r_c = _residual(elim, z, lam)
+        dz_p, dr = elim.rhs(-r_s, r_c)
         step, back = np.linalg.solve(
             k, np.column_stack([s * dr, np.where(probe < 0.0, -1.0, 1.0)])
         ).T
-        dz, dlam = elim.expand(qp.Q, -r_s, dz_p, s * step)
+        dz, dlam = elim.expand(-r_s, dz_p, s * step)
     except np.linalg.LinAlgError:
         return None
     cond = _condition(k, probe, back)
@@ -174,45 +220,46 @@ def _condensed_solve(qp: DiscreteQp) -> tuple[np.ndarray, np.ndarray, float] | N
     return z - dz, lam - dlam, cond
 
 
-def solve(qp: DiscreteQp) -> QpSolution:
+def solve(qp: DiscreteQp | FactoredQp) -> QpSolution:
     """Solve the QP; returns the minimum-norm first-order optimal point."""
-    h, b, q, c = qp.H, qp.b, qp.Q, qp.c
-    for name, arr in (("H", h), ("b", b), ("Q", q), ("c", c)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"non-finite entries in {name}")
-    scale_q = max(1.0, float(np.max(np.abs(q)))) if q.size else 1.0
-    if q.size and float(np.max(np.abs(q - q.T))) > 1e-12 * scale_q:
-        raise ValueError("cost matrix must be symmetric")
-
-    n = q.shape[0]
-    condensed = _condensed_solve(qp) if qp.elimination is not None else None
+    elim = qp.elimination
+    if elim is not None:
+        _check_factors(elim)
+    condensed = _condensed_solve(elim) if elim is not None else None
     if condensed is not None:
         z, lam, cond = condensed
-        deficiency = qp.elimination.eliminated
+        deficiency = elim.eliminated
+        prog = elim
     else:
+        prog = _Dense(qp)
+        h = prog.h
         n_rows = h.shape[0]
         if n_rows > 0:
             s_h = np.linalg.svd(h, compute_uv=False)
             rank_h = int(np.count_nonzero(s_h > RANK_TOL * float(np.max(np.abs(h)))))
             if rank_h < n_rows:
                 raise RankDeficientError(n_rows - rank_h, float(s_h[-1]))
-        kkt = np.block([[2.0 * q, h.T], [h, np.zeros((n_rows, n_rows))]])
-        x, cond, deficiency = _min_norm_solve(kkt, np.concatenate([-c, b]))
-        z, lam = x[:n], x[n:]
+        kkt = np.block([[2.0 * prog.q, h.T], [h, np.zeros((n_rows, n_rows))]])
+        if not np.all(np.isfinite(kkt)):
+            raise SolveError("saddle matrix has non-finite entries (2Q overflows)")
+        x, cond, deficiency = _min_norm_solve(kkt, np.concatenate([-prog.c, prog.b]))
+        z, lam = x[: h.shape[1]], x[h.shape[1] :]
 
+    n = z.size
     # Residual of the full saddle system: stationarity, then constraints.
-    res = np.abs(np.concatenate(_residual(qp, z, lam)))
-    rhs_scale = max(1.0, float(np.max(np.abs(np.concatenate([c, b])), initial=0.0)))
-    if float(np.max(res, initial=0.0)) > 1e-7 * rhs_scale:
-        raise SolveError(
-            f"saddle system is inconsistent (residual {float(np.max(res)):.3e})"
-        )
+    res = np.abs(np.concatenate(_residual(prog, z, lam)))
+    rhs_scale = max(1.0, float(np.max(np.abs(np.concatenate([prog.c, prog.b])), initial=0.0)))
+    worst = float(np.max(res, initial=0.0))
+    if not worst <= 1e-7 * rhs_scale:  # also a NaN residual
+        raise SolveError(f"saddle system is inconsistent (residual {worst:.3e})")
     feasibility = float(np.max(res[n:], initial=0.0))
-    b_scale = max(1.0, float(np.max(np.abs(b)))) if b.size else 1.0
-    if feasibility > FEASIBILITY_TOL * b_scale:
+    b_scale = max(1.0, float(np.max(np.abs(prog.b), initial=0.0)))
+    if not feasibility <= FEASIBILITY_TOL * b_scale:
         raise SolveError(f"constraints violated beyond tolerance ({feasibility:.3e})")
     stationarity = float(np.max(res[:n], initial=0.0))
-    j = float(z @ q @ z + c @ z + qp.j0)
+    j = float(z @ prog.q_mul(z) + prog.c @ z + prog.j0)
+    if not np.isfinite(j):
+        raise SolveError(f"objective is not finite ({j})")
     return QpSolution(
         z=z,
         j=j,

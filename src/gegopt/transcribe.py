@@ -29,18 +29,23 @@ r1 x^2 + r2 u^2, written both as an assembled quadratic form
 (Q, c, j0) with J(Z) = Z' Q Z + c' Z + j0 and as a literal nested
 summation used as a cross-check oracle.
 
-The assembled program also carries its `Elimination`: the dynamics rows
+Every transcribed program also has its `Elimination`: the dynamics rows
 solved for the interior control, D = P1^-1 applied in time, which leaves
 (N_y + 2)(N_t + 1) unknowns (the interior phi values and the sum
 phi + u at y = 0) under the N_t + 1 flux rows.  Its condensed Hessian is a
 sum of Kronecker products of the same time and space factors, so the
-solver factors a saddle matrix of (N_y + 3)(N_t + 1) rows; the full H, Q
-stay the reference for its residual checks and for the matrix dumps.
+solver factors a saddle matrix of (N_y + 3)(N_t + 1) rows.  The same
+factors give b, c, j0 and the products with Q, H and H' as
+(N_t + 1) x (N_y + 2) matrix products, so `build` and the condensed solve
+form no array of O(N^4) entries.  The dense program is assembled only when
+`Transcription.qp` is read: by the solver's SVD fall-through, the matrix
+dumps and the tests, which keep it as the reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -57,6 +62,7 @@ __all__ = [
     "GridIndexMap",
     "Elimination",
     "DiscreteQp",
+    "FactoredQp",
     "Transcription",
     "assemble_dynamics",
     "assemble_boundary",
@@ -148,6 +154,12 @@ class Elimination:
     Kronecker products, each an (N_t + 1)^2 time factor times an
     (N_y + 2)^2 space factor, and the only constraints left are the N_t + 1
     flux rows F = I_t (x) w_y' E on zeta.
+
+    The full program is held as factors too: Q = r1 [1 1; 1 1] (x) q_t (x)
+    q_y plus r2 W on the interior u values, and f holds the initial profile
+    at the interior space nodes, f0 its value at y = 0.  `b`, `c`, `j0` and
+    the products with Q, H and H' are (N_t + 1) x (N_y + 2) matrix products
+    of these factors, equal to the dense `Transcription.qp` to round-off.
     """
 
     grid: GridIndexMap
@@ -158,6 +170,10 @@ class Elimination:
     a: np.ndarray
     w_t: np.ndarray
     w_y: np.ndarray
+    q_t: np.ndarray
+    q_y: np.ndarray
+    f: np.ndarray
+    f0: float
 
     @property
     def eliminated(self) -> int:
@@ -169,6 +185,10 @@ class Elimination:
         c = -_interior(self.grid)
         c[:, -1] = 1.0
         return c
+
+    def _blocks(self, z: np.ndarray) -> np.ndarray:
+        """Z as its (phi, u) blocks, each (N_t + 1) x (N_y + 2) time-major."""
+        return np.reshape(z, (2, self.grid.n_t + 1, self.grid.n_y + 2))
 
     def _lift(self, zeta: np.ndarray, r: np.ndarray | float) -> np.ndarray:
         """Full unknown vector Z of zeta on the dynamics rows H_d Z = r."""
@@ -183,18 +203,68 @@ class Elimination:
     def _pull(self, g: np.ndarray) -> np.ndarray:
         """T' g: a gradient in Z taken to zeta by the adjoint of the linear
         part of `_lift`."""
-        phi, u = np.reshape(g, (2, self.grid.n_t + 1, self.grid.n_y + 2))
+        phi, u = self._blocks(g)
         out = phi.copy()
         out[:, -1] = 0.5 * (phi[:, -1] + u[:, -1])
         u_int = u[:, :-1]
         out += self.d.T @ u_int @ self.a + u_int @ self._mismatch()
         return out.ravel()
 
+    @cached_property
+    def b(self) -> np.ndarray:
+        """Right-hand side of H Z = b: f(y_i) - f(0) per dynamics row, 0 per
+        flux row."""
+        n_t = self.grid.n_t + 1
+        return np.concatenate([np.tile(self.f - self.f0, n_t), np.zeros(n_t)])
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        """Linear cost term 2 r1 M' W fbar, M = [1, 1] (x) P1 (x) E: per
+        block 2 r1 P1' (W fbar) E, W fbar the profile at each interior grid
+        point times its tensor quadrature weight."""
+        n_t = self.grid.n_t + 1
+        weighted = np.kron(self.w_t, self.w_y) * np.tile(self.f, n_t)
+        block = np.zeros((n_t, self.grid.n_y + 2))
+        block[:, :-1] = self.p1.T @ weighted.reshape(n_t, -1)
+        block *= 2.0 * self.r1
+        return np.tile(block.ravel(), 2)
+
+    @cached_property
+    def j0(self) -> float:
+        """Constant cost term r1 fbar' W fbar."""
+        fbar = np.tile(self.f, self.grid.n_t + 1)
+        return self.r1 * float(np.kron(self.w_t, self.w_y) @ fbar**2)
+
+    def q_mul(self, z: np.ndarray) -> np.ndarray:
+        """Q Z."""
+        phi, u = self._blocks(z)
+        state = self.r1 * (self.q_t @ (phi + u) @ self.q_y)
+        control = state + self.r2 * (self.w_t[:, None] * np.append(self.w_y, 0.0)) * u
+        return np.concatenate([state.ravel(), control.ravel()])
+
+    def h_mul(self, z: np.ndarray) -> np.ndarray:
+        """H Z: the dynamics rows, then the flux rows."""
+        phi, u = self._blocks(z)
+        dyn = phi @ self.a.T + self.p1 @ ((phi + u) @ self._mismatch().T)
+        return np.concatenate([dyn.ravel(), phi[:, :-1] @ self.w_y])
+
+    def ht_mul(self, lam: np.ndarray) -> np.ndarray:
+        """H' lambda, lambda = [dynamics multipliers; flux multipliers]."""
+        n_t = self.grid.n_t + 1
+        lam_d = lam[: -n_t].reshape(n_t, self.grid.n_y + 1)
+        u = self.p1.T @ lam_d @ self._mismatch()
+        phi = lam_d @ self.a + u
+        phi[:, :-1] += lam[-n_t:, None] * self.w_y
+        return np.concatenate([phi.ravel(), u.ravel()])
+
     def saddle(self) -> np.ndarray:
         """The condensed saddle matrix [2 Qc, F'; F, 0], (N_y + 3)(N_t + 1)
         square.  2 Qc = S + S', where S holds each symmetric term once and
         one of each transposed pair of cross terms twice, so 2 Qc is
-        exactly symmetric."""
+        exactly symmetric.  It is formed one row block at a time: rows j of
+        S sum t[j] (x) s over the terms, rows j of S' sum t[:, j] (x) s', in
+        the same order, so neither a product-sized temporary nor a
+        transposed pass over the matrix is needed."""
         a, c = self.a, self._mismatch()
         b = c + _interior(self.grid)
         d, p1, w_t = self.d, self.p1, self.w_t
@@ -209,31 +279,36 @@ class Elimination:
             (2.0 * self.r1 * (w_t[:, None] * p1), gram(a, b)),
             (2.0 * self.r2 * (d.T * w_t), gram(a, c)),
         )
-        n = (self.grid.n_t + 1) * (self.grid.n_y + 2)
-        kkt = np.zeros((n + self.grid.n_t + 1,) * 2)
-        hess = kkt[:n, :n]
-        for t, s in terms:
-            hess += np.kron(t, s)
-        hess += hess.T
-        flux = np.kron(np.eye(self.grid.n_t + 1), np.append(self.w_y, 0.0))
+        n_t, n_s = self.grid.n_t + 1, self.grid.n_y + 2
+        n = n_t * n_s
+        kkt = np.zeros((n + n_t,) * 2)
+        rows, mirror, product = (np.empty((n_s, n_t, n_s)) for _ in range(3))
+        for j in range(n_t):
+            rows[...] = 0.0
+            mirror[...] = 0.0
+            for t, s in terms:
+                np.multiply(t[j][None, :, None], s[:, None, :], out=product)
+                rows += product
+                np.multiply(t[:, j][None, :, None], s.T[:, None, :], out=product)
+                mirror += product
+            np.add(rows, mirror, out=kkt[j * n_s : (j + 1) * n_s, :n].reshape(n_s, n_t, n_s))
+        flux = np.kron(np.eye(n_t), np.append(self.w_y, 0.0))
         kkt[n:, :n] = flux
         kkt[:n, n:] = flux.T
         return kkt
 
-    def rhs(
-        self, q: np.ndarray, c: np.ndarray, b: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def rhs(self, c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(z_p, r) for minimizing Z' Q Z + c' Z over H Z = b: z_p solves the
         dynamics rows with zeta = 0, and r = [-T' (2 Q z_p + c); b_flux] is
         the condensed right-hand side."""
         n_dyn = (self.grid.n_t + 1) * (self.grid.n_y + 1)
         zeta = np.zeros((self.grid.n_t + 1) * (self.grid.n_y + 2))
         z_p = self._lift(zeta, b[:n_dyn].reshape(self.grid.n_t + 1, -1))
-        grad = self._pull(2.0 * (q @ z_p) + c)
+        grad = self._pull(2.0 * self.q_mul(z_p) + c)
         return z_p, np.concatenate([-grad, b[n_dyn:]])
 
     def expand(
-        self, q: np.ndarray, c: np.ndarray, z_p: np.ndarray, x: np.ndarray
+        self, c: np.ndarray, z_p: np.ndarray, x: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """(Z, lambda) from a condensed solution x = [zeta; flux multipliers].
 
@@ -242,7 +317,7 @@ class Elimination:
         solve."""
         n = (self.grid.n_t + 1) * (self.grid.n_y + 2)
         z = z_p + self._lift(x[:n], 0.0)
-        g = np.reshape(2.0 * (q @ z) + c, (2, self.grid.n_t + 1, self.grid.n_y + 2))
+        g = self._blocks(2.0 * self.q_mul(z) + c)
         lam_d = np.linalg.solve(self.p1.T, g[1, :, :-1])
         return z, np.concatenate([lam_d.ravel(), x[n:]])
 
@@ -264,12 +339,33 @@ class DiscreteQp:
 
 
 @dataclass(frozen=True)
+class FactoredQp:
+    """A transcribed program as the solver takes it: its `elimination`,
+    whose factors are all the condensed route reads, and the dense program
+    `Transcription.qp`, assembled when one of H, b, Q, c, j0 is first read
+    (the SVD fall-through, a check) and kept by this instance alone."""
+
+    transcription: Transcription = field(repr=False)
+    elimination: Elimination | None = field(repr=False)
+
+    @cached_property
+    def dense(self) -> DiscreteQp:
+        return self.transcription.qp
+
+    H = property(lambda self: self.dense.H)
+    b = property(lambda self: self.dense.b)
+    Q = property(lambda self: self.dense.Q)
+    c = property(lambda self: self.dense.c)
+    j0 = property(lambda self: self.dense.j0)
+
+
+@dataclass(frozen=True)
 class Transcription:
     """A QP together with the rules and operators that produced it.
 
-    `build` keeps the assembled QP.  With `assembled=None`, `qp` reassembles
-    it, bit for bit, on each access, so a stored solution does not pin the
-    dense H and Q.
+    Nothing of O(N^4) size is stored: `qp` assembles the dense program, bit
+    for bit, on each read, and `factored` gives the program as the solver
+    takes it, through its `elimination`.
     """
 
     ocp: DiffusionOcp
@@ -279,23 +375,38 @@ class Transcription:
     op_y1: IntegrationOperator
     op_y2: IntegrationOperator
     op_t1: IntegrationOperator
-    assembled: DiscreteQp | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        _check_operator(self.op_y1, 1, self.grid.n_y + 1, self.ocp.length)
+        _check_operator(self.op_y2, 2, self.grid.n_y + 1, self.ocp.length)
+        _check_operator(self.op_t1, 1, self.grid.n_t + 1, self.ocp.t_final)
+
+    @property
+    def elimination(self) -> Elimination:
+        p1 = self.op_t1.matrix
+        w_y, w_t = self.op_y1.full_interval_row, self.op_t1.full_interval_row
+        q_t, w_slots = _cost_factors(self.grid, p1, w_y, w_t)
+        return Elimination(
+            grid=self.grid, r1=self.ocp.r1, r2=self.ocp.r2, p1=p1, d=np.linalg.inv(p1),
+            a=self.op_y2.matrix @ _interior(self.grid), w_t=w_t, w_y=w_y,
+            q_t=q_t, q_y=np.diag(w_slots), f=_profile(self.ocp, self.op_y2.rule.nodes),
+            f0=float(self.ocp.initial(0.0)),
+        )
+
+    @property
+    def factored(self) -> FactoredQp:
+        return FactoredQp(self, self.elimination)
 
     @property
     def qp(self) -> DiscreteQp:
-        if self.assembled is not None:
-            return self.assembled
         a_phi, a_u, rhs = assemble_dynamics(self.ocp, self.grid, self.op_y2, self.op_t1)
         psi = assemble_boundary(self.grid, self.op_y1.full_interval_row)
         h, b = combine(a_phi, a_u, psi, rhs)
         rows = (self.op_y1.full_interval_row, self.op_t1.full_interval_row)
         q, c, j0 = assemble_cost(self.ocp, self.grid, self.rule_y.nodes, self.op_t1, *rows)
-        p1 = self.op_t1.matrix
-        elimination = Elimination(
-            grid=self.grid, r1=self.ocp.r1, r2=self.ocp.r2, p1=p1, d=np.linalg.inv(p1),
-            a=self.op_y2.matrix @ _interior(self.grid), w_t=rows[1], w_y=rows[0],
+        return DiscreteQp(
+            H=h, b=b, Q=q, c=c, j0=j0, grid=self.grid, elimination=self.elimination
         )
-        return DiscreteQp(H=h, b=b, Q=q, c=c, j0=j0, grid=self.grid, elimination=elimination)
 
 
 def _check_operator(op: IntegrationOperator, order: int, size: int, length: float) -> None:
@@ -310,6 +421,15 @@ def _check_operator(op: IntegrationOperator, order: int, size: int, length: floa
 def _interior(grid: GridIndexMap) -> np.ndarray:
     """E: selects the N_y + 1 interior slots of one time slice."""
     return np.eye(grid.n_y + 1, grid.n_y + 2)
+
+
+def _cost_factors(
+    grid: GridIndexMap, p1: np.ndarray, full_row_y: np.ndarray, full_row_t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Time factor P1' W_t P1, symmetrized, and the diagonal of the space
+    factor E' W_y E of the cost's state term."""
+    gram_t = p1.T @ (full_row_t[:, None] * p1)
+    return 0.5 * (gram_t + gram_t.T), full_row_y @ _interior(grid)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -400,10 +520,8 @@ def assemble_cost(
     """
     m, fbar = state_map(ocp, grid, y_nodes, op_t1)
     w = np.kron(full_row_t, full_row_y)
-    p1 = op_t1.matrix
-    gram_t = p1.T @ (full_row_t[:, None] * p1)
-    w_slots = full_row_y @ _interior(grid)  # diagonal of E' W_y E
-    b = _kron(0.5 * (gram_t + gram_t.T), np.diag(w_slots))
+    q_t, w_slots = _cost_factors(grid, op_t1.matrix, full_row_y, full_row_t)
+    b = _kron(q_t, np.diag(w_slots))
     b *= ocp.r1
     q = np.block([[b, b], [b, b]])
     u_diag = np.arange(grid.block_size, grid.n_unknowns)
@@ -477,10 +595,10 @@ def recover_state(
 
 
 def build(ocp: DiffusionOcp, rule_y: QuadratureRule, rule_t: QuadratureRule) -> Transcription:
-    """Full pipeline from problem data and rules to the assembled QP."""
+    """Full pipeline from problem data and rules to the operators of the QP;
+    the program itself is read from the result (`factored`, `qp`)."""
     grid = GridIndexMap(rule_y.spec.degree, rule_t.spec.degree)
     op_y1 = first_order_matrix(rule_y)
     op_y2 = higher_order_matrix(op_y1, 2)
     op_t1 = first_order_matrix(rule_t)
-    bare = Transcription(ocp, grid, rule_y, rule_t, op_y1, op_y2, op_t1)
-    return replace(bare, assembled=bare.qp)
+    return Transcription(ocp, grid, rule_y, rule_t, op_y1, op_y2, op_t1)

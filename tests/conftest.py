@@ -54,6 +54,26 @@ def cached_rule(alpha: float, length: float, degree: int) -> QuadratureRule:
     return sgg_rule(BasisSpec(alpha=alpha, length=length, degree=degree))
 
 
+def reachable_arrays(obj) -> list[np.ndarray]:
+    """Every NumPy array an object holds, through the attributes of gegopt
+    objects and through tuples, lists and dicts, cached values included."""
+    found, seen, todo = [], set(), [obj]
+    while todo:
+        item = todo.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (tuple, list)):
+            todo.extend(item)
+        elif isinstance(item, dict):
+            todo.extend(item.values())
+        elif type(item).__module__.startswith("gegopt"):
+            todo.extend(vars(item).values())
+    return found
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(42)

@@ -20,9 +20,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import solve_reference_cell, reference_ocp
+from conftest import reachable_arrays, solve_reference_cell, reference_ocp
 
 import gegopt
+from gegopt import transcribe
 from gegopt.cli import (
     ConfigError,
     RunConfig,
@@ -36,6 +37,7 @@ from gegopt.cli import (
     run_sweep,
 )
 from gegopt.interp import Interpolant2D, eval2d_grid
+from gegopt.transcribe import Transcription
 
 
 class TestInitialProfileParsing:
@@ -140,15 +142,32 @@ class TestRunSingle:
             run_single(reference_ocp(), 4, 4, 0.0, eval_grid=1)
 
     def test_solution_does_not_keep_the_assembled_qp(self):
-        # A sweep keeps every cell's solution; the dense H and Q are
-        # reassembled on access instead of held.
+        # A sweep keeps every cell's solution: it holds no array of the
+        # dense program's O(N^4) size, and the program reassembles on read.
         record, sol = run_single(reference_ocp(), 6, 5, -0.2, eval_grid=11)
-        assert sol.transcription.assembled is None
+        n_unknowns = sol.transcription.grid.n_unknowns
+        assert max(a.size for a in reachable_arrays(sol)) <= n_unknowns
         qp = sol.transcription.qp
-        assert qp.H.shape == (7 * 6 + 6, sol.transcription.grid.n_unknowns)
-        assert float(np.max(np.abs(qp.H @ sol.z - qp.b))) == record.feasibility
+        assert qp.H.shape == (7 * 6 + 6, n_unknowns)
+        assert float(np.max(np.abs(qp.H @ sol.z - qp.b))) == pytest.approx(
+            record.feasibility, rel=0, abs=1e-14
+        )
         j = float(sol.z @ qp.Q @ sol.z + qp.c @ sol.z + qp.j0)
         assert j == pytest.approx(record.j, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [4, 12, 16])
+    def test_cell_never_assembles_the_dense_program(self, monkeypatch, n):
+        """A cell solves through its elimination's factors: it neither reads
+        `Transcription.qp` nor forms the cost's dense state map."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense program assembled")
+
+        monkeypatch.setattr(Transcription, "qp", property(refuse))
+        monkeypatch.setattr(transcribe, "assemble_cost", refuse)
+        record, sol = run_single(reference_ocp(), n, n, 0.0, eval_grid=11)
+        assert np.isfinite(record.j)
+        assert sol.qp_solution.kkt_rank_deficiency == n + 1
 
 
 class TestRunSweep:
@@ -465,7 +484,8 @@ class TestRuntimeDependencies:
 
 class TestScripts:
     @pytest.mark.parametrize(
-        "name", ["convergence_table.py", "quadrature_bound_demo.py", "run_benchmark_sweep.py"]
+        "name",
+        ["convergence_table.py", "large_cells.py", "quadrature_bound_demo.py", "run_benchmark_sweep.py"],
     )
     def test_help_shows_module_docstring(self, name):
         script = Path(__file__).resolve().parents[1] / "scripts" / name

@@ -8,7 +8,12 @@ elimination built from scipy.linalg.null_space and least squares.
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import gegopt
 import numpy as np
 import pytest
 from scipy.linalg import lstsq, null_space
@@ -120,6 +125,46 @@ class TestErrorPaths:
         q = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError):
             solve(toy_qp([[1.0, 1.0]], [1.0], q, np.zeros(2)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestOverflowingPrograms:
+    """Finite programs whose arithmetic overflows end in a SolveError."""
+
+    def test_overflowing_saddle_matrix_rejected_before_svd(self):
+        """2Q overflows to inf; an SVD of that matrix never returns, so the
+        check runs in a fresh process under a timeout."""
+        code = (
+            "import numpy as np\n"
+            "from gegopt.qpsolve import SolveError, solve\n"
+            "from gegopt.transcribe import DiscreteQp, GridIndexMap\n"
+            "qp = DiscreteQp(H=np.full((1, 2), 1e308), b=np.array([1e308]),\n"
+            "                Q=1e308 * np.eye(2), c=np.zeros(2), j0=0.0, grid=GridIndexMap(1, 1))\n"
+            "try:\n"
+            "    solve(qp)\n"
+            "except SolveError as exc:\n"
+            "    print('SolveError', exc)\n"
+        )
+        package_root = Path(gegopt.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-W", "ignore", "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(package_root)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("SolveError saddle matrix has non-finite entries")
+
+    def test_overflowing_rank_cutoff_gives_typed_error(self):
+        """The SVD cutoff s_max * dim * eps overflowed and left no singular
+        value above it; the solve now ends in the residual check."""
+        with pytest.raises(SolveError):
+            solve(toy_qp([[1.0, 1.0]], [1.0], 8e307 * np.eye(2), np.zeros(2)))
+
+    def test_overflowing_objective_rejected(self):
+        with pytest.raises(SolveError, match="objective is not finite"):
+            solve(toy_qp([[1e307, 1e307]], [1e308], 1e307 * np.eye(2), np.zeros(2)))
 
 
 class TestNullSpaceOracle:

@@ -8,11 +8,11 @@ integration matrices are exact on polynomials up to the grid degree.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import reachable_arrays
 
 from gegopt.polycore import BasisSpec
 from gegopt.nodes import sgg_rule
@@ -291,13 +291,14 @@ class TestBuildPipeline:
 
     @pytest.mark.parametrize("alpha", [-0.3, 0.0, 0.5])
     def test_released_transcription_reassembles_the_same_qp(self, alpha):
+        """A transcription holds no array of the dense program's size; each
+        read of `qp` assembles it afresh, bit for bit."""
         tr = make_transcription(n_y=5, n_t=4, alpha=alpha)
-        released = replace(tr, assembled=None)
-        assert tr.assembled is tr.qp
-        qp = released.qp
-        assert qp is not tr.qp
+        assert max(a.size for a in reachable_arrays(tr)) < tr.grid.n_unknowns
+        first, second = tr.qp, tr.qp
+        assert first is not second
         for name in ("H", "b", "Q", "c", "j0"):
-            assert_same_bits(getattr(qp, name), getattr(tr.qp, name))
+            assert_same_bits(getattr(first, name), getattr(second, name))
 
     def test_rule_domain_mismatch_rejected(self):
         rule_y = sgg_rule(BasisSpec(alpha=0.0, length=2.0, degree=4))  # not L
@@ -453,3 +454,68 @@ class TestLoopReference:
         assert new.j == pytest.approx(old.j, rel=1e-13)
         assert np.abs(new.z - old.z).max() < 1e-10
         assert new.kkt_rank_deficiency == old.kkt_rank_deficiency == grid.n_t + 1
+
+
+class TestFactoredProgram:
+    """The elimination's factors reproduce the dense program: b and j0 bit
+    for bit, c and the products with Q, H and H' to round-off."""
+
+    @pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.5])
+    @pytest.mark.parametrize("n_y, n_t", [(1, 1), (3, 5), (5, 3), (8, 8)])
+    def test_matches_dense_program(self, n_y, n_t, alpha, rng):
+        f = lambda y: 1.0 + y - 0.3 * y**2
+        tr = make_transcription(n_y=n_y, n_t=n_t, alpha=alpha, f=f)
+        qp, elim = tr.qp, tr.elimination
+        assert_same_bits(elim.b, qp.b)
+        assert_same_bits(elim.j0, qp.j0)
+        assert np.abs(elim.c - qp.c).max() <= 1e-15 * np.abs(qp.c).max()
+        z = rng.normal(size=tr.grid.n_unknowns)
+        lam = rng.normal(size=qp.H.shape[0])
+        for got, want in (
+            (elim.q_mul(z), qp.Q @ z),
+            (elim.h_mul(z), qp.H @ z),
+            (elim.ht_mul(lam), qp.H.T @ lam),
+        ):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_factored_program_reads_the_dense_one_once(self, monkeypatch):
+        tr = make_transcription(n_y=3, n_t=3)
+        factored = tr.factored
+        calls = []
+        real = type(tr).qp.fget
+        monkeypatch.setattr(type(tr), "qp", property(lambda t: calls.append(1) or real(t)))
+        assert factored.elimination is not None and not calls
+        assert factored.Q.shape == (tr.grid.n_unknowns,) * 2
+        assert_same_bits(factored.H, real(tr).H)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.5])
+    @pytest.mark.parametrize("n", [4, 12, 32])
+    def test_saddle_matches_kronecker_sum(self, n, alpha):
+        """Forming the saddle matrix one row block at a time gives the bytes
+        of the sum of np.kron products plus its transpose."""
+        elim = make_transcription(n_y=n, n_t=n, alpha=alpha).elimination
+        a, c = elim.a, elim._mismatch()
+        b = c + np.eye(n + 1, n + 2)
+        d, p1, w_t = elim.d, elim.p1, elim.w_t
+
+        def gram(x, y):
+            return x.T @ (elim.w_y[:, None] * y)
+
+        terms = (
+            (elim.r1 * np.diag(w_t) + elim.r2 * d.T @ (w_t[:, None] * d), gram(a, a)),
+            (elim.r1 * p1.T @ (w_t[:, None] * p1), gram(b, b)),
+            (elim.r2 * np.diag(w_t), gram(c, c)),
+            (2.0 * elim.r1 * (w_t[:, None] * p1), gram(a, b)),
+            (2.0 * elim.r2 * (d.T * w_t), gram(a, c)),
+        )
+        size = (n + 1) * (n + 2)
+        kkt = np.zeros((size + n + 1,) * 2)
+        hess = kkt[:size, :size]
+        for t, s_ in terms:
+            hess += np.kron(t, s_)
+        hess += hess.T
+        flux = np.kron(np.eye(n + 1), np.append(elim.w_y, 0.0))
+        kkt[size:, :size] = flux
+        kkt[:size, size:] = flux.T
+        assert_same_bits(elim.saddle(), kkt)
