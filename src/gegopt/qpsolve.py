@@ -11,33 +11,46 @@ The solver has two routes.
 (a) A transcribed program carries its `Elimination`, which condenses it onto
 the free data of the state: the dynamics rows give the interior control
 through integration matrices, and phi and u at y = 0 enter only through
-their sum, split evenly.  Its condensed saddle matrix has (N_y + 3)(N_t + 1)
-rows against about 3 (N_y + 2)(N_t + 1) for the full one.  This route reads
-nothing but the elimination: b, c, j0 and the products with Q, H and H'
-come from its Kronecker factors, and its input checks ask that the factors
-be finite and Q's time and space factors symmetric.  The solver
-equilibrates it symmetrically (s_i = 1 / sqrt(max_j |k_ij|)), solves it by
-dense LU and lifts the result back to Z and lambda.  The one refinement step
-takes the residual of the full saddle system, maps it through the same
-elimination and solves the condensed matrix again; a refinement on the
+their sum, split evenly.  What is left is the condensed saddle system
+[2 Qc, F'; F, 0] of (N_y + 3)(N_t + 1) rows, whose only constraints are the
+N_t + 1 flux rows.  This route reads nothing but the elimination: b, c, j0
+and the products with Q, H, H' and Qc come from its Kronecker factors as
+(N_t + 1) x (N_y + 2) matrix products, and its input checks ask that the
+factors be finite and Q's time and space factors symmetric.  The flux rows
+have an explicit Kronecker null space, so the solver reduces the condensed
+system onto it and solves the reduced system, SPD for a sound cell, by
+conjugate gradients preconditioned with its control term, which fast
+diagonalization on the space side applies exactly (Benzi, Golub & Liesen,
+Acta Numer. 14 (2005); Lynch, Rice & Thomas, Numer. Math. 6 (1964)).  No
+array of O(N^4) entries is formed, and no matrix larger than a time or
+space factor is factored.  The result is lifted back to Z and lambda.  The
+one refinement step takes the residual of the full saddle system, maps it
+through the same elimination and solves again; a refinement on the
 condensed residual alone would not see the round-off that D = P1^-1 carries
 into the condensed Hessian, squared in its control term.  The N_t + 1 split
-directions that the condensing removes are the reported rank deficiency,
-and `kkt_condition` is Hager's estimate of the 1-norm condition number of
-the equilibrated condensed matrix.
+directions that the condensing removes are the reported rank deficiency;
+`kkt_condition` is the ratio of the extreme Ritz values of the first CG
+solve, an estimate of the condition number of the preconditioned reduced
+system (1 + (r1/r2)(2 t_f/pi)^2 on a sound cell), and `iterations` counts
+the CG steps of both solves.  The cell falls through to route (b) when
+the preconditioner is singular or not finite, CG does not converge, or the
+refined full residual is not at round-off (below ROUND_OFF times the
+magnitude of the terms it sums).
 
-(b) Every other program (a hand-built one), and a transcribed one whose
-condensed matrix is singular or has a condition estimate of at least
-1 / (dim * eps), is solved through a dense singular-value factorization of
-the full saddle matrix with one refinement step.  Singular values below the
+(b) Every other program (a hand-built one), and a transcribed one that
+falls through, is solved through a dense singular-value factorization of
+the full saddle matrix with one refinement step.  A transcribed program is
+refused with SolveError before it is assembled when its H, Q and full
+saddle matrix would not fit in physical memory.  Singular values below the
 dense-rank cutoff count as zeros, so a singular but consistent system gets
-its minimum-norm solution; the rank deficiency is their number, and
-`kkt_condition` is s_max / s_min over the kept singular values.  This route
-reads the dense program (for a transcribed one, `Transcription.qp` is
-assembled here) and checks that H, b, Q, c are finite and Q symmetric, then
-the constraint rows: rank-deficient rows (a genuinely overdetermined or
-duplicated constraint set) are an error and abort.  A saddle matrix whose
-entries overflow is rejected before the factorization.
+its minimum-norm solution; the rank deficiency is their number,
+`kkt_condition` is s_max / s_min over the kept singular values and
+`iterations` is 0.  This route reads the dense program (for a transcribed
+one, `Transcription.qp` is assembled here) and checks that H, b, Q, c are
+finite and Q symmetric, then the constraint rows: rank-deficient rows (a
+genuinely overdetermined or duplicated constraint set) are an error and
+abort.  A saddle matrix whose entries overflow is rejected before the
+factorization.
 
 On both routes the residual and feasibility are checked on the full saddle
 system, and an inconsistent system, a residual that is not a number and an
@@ -47,11 +60,13 @@ least-squares compromise or an infinite cost.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
-from .transcribe import DiscreteQp, Elimination, FactoredQp
+from .transcribe import DiscreteQp, Elimination, FactoredQp, GridIndexMap
 
 __all__ = [
     "QpSolution",
@@ -68,6 +83,16 @@ RANK_TOL = 1e-10
 
 #: Feasibility must come out no worse than this times max(1, |b|_inf).
 FEASIBILITY_TOL = 1e-8
+
+#: CG on the reduced condensed system stops at |r| <= CG_TOL |rhs|.
+CG_TOL = 1e-10
+
+#: CG iterations allowed per solve before the cell falls through.
+CG_MAX_ITERATIONS = 2000
+
+#: The refined full residual of the condensed route must come out below this
+#: times the magnitude of the terms it sums, or the cell falls through.
+ROUND_OFF = 1e-12
 
 _EPS = float(np.finfo(float).eps)
 
@@ -99,6 +124,7 @@ class QpSolution:
     multipliers: np.ndarray
     kkt_condition: float
     kkt_rank_deficiency: int
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -132,14 +158,6 @@ def _min_norm_solve(k: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float, 
     x = x + apply_pinv(rhs - k @ x)
     cond = float(s[0] / s_r[-1])
     return x, cond, k.shape[0] - rank
-
-
-def _condition(k: np.ndarray, probe: np.ndarray, back: np.ndarray) -> float:
-    """|k|_1 times two steps of Hager's estimator for |k^-1|_1: |probe|_1 with
-    probe = k^-1 e/dim, and |back|_inf with back = k^-1 sign(probe), both
-    lower bounds for a symmetric k."""
-    inv_norm = max(float(np.abs(probe).sum()), float(np.max(np.abs(back), initial=0.0)))
-    return float(np.abs(k).sum(axis=0).max(initial=0.0)) * inv_norm
 
 
 class _Dense:
@@ -187,37 +205,179 @@ def _check_factors(elim: Elimination) -> None:
             raise ValueError(f"cost factor {name} must be symmetric")
 
 
-def _condensed_solve(elim: Elimination) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """(z, lambda, condition estimate) through the elimination, or None when
-    its condensed saddle matrix is singular or too ill conditioned.
+def _physical_memory() -> int:
+    """Bytes of physical memory of the machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
-    The matrix is equilibrated symmetrically, s_i = 1 / sqrt(max_j |k_ij|).
+
+def _check_fits(grid: GridIndexMap) -> None:
+    """Raise SolveError when the dense H and Q of a transcribed program and
+    its full saddle matrix, which the SVD route forms, do not fit in
+    physical memory together."""
+    n, m = grid.n_unknowns, grid.block_size
+    sizes = {"H": 8 * m * n, "Q": 8 * n * n, f"the {n + m}-square saddle matrix": 8 * (n + m) ** 2}
+    available = _physical_memory()
+    if sum(sizes.values()) > available:
+        need = ", ".join(f"{name} {size / 1e9:.3g} GB" for name, size in sizes.items())
+        raise SolveError(
+            f"the SVD route needs {need}, more than the {available / 1e9:.3g} GB "
+            "of physical memory"
+        )
+
+
+def _preconditioner(elim: Elimination, z_y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """M^-1 for the control term M = 2 r2 (K Z)' W (K Z) of the reduced
+    Hessian, applied exactly by fast diagonalization on the space side.
+
+    (K Z) Y = D Y Ah' + Y Ch' with Ah = A Z_y, Ch = C Z_y.  Times P1 and
+    Ch^-T, Y (Ah' Ch^-T) + P1 Y = P1 X Ch^-T, and with Ah' Ch^-T = V L V^-1
+    column k of Y V solves (l_k I + P1) y_k = P1 x_k, x = X Ch^-T V.  The
+    transposed solve takes the transposes of the same N_y + 1 matrices
+    T_k = (l_k I + P1)^-1 P1.  P1 itself is not diagonalized: its
+    eigenvectors are far too ill conditioned.  Raises LinAlgError when the
+    diagonalization is singular or not finite."""
+    a_hat, c_hat = elim.a @ z_y, elim._mismatch() @ z_y
+    lam, v = np.linalg.eig(np.linalg.solve(c_hat, a_hat).T)
+    v_inv, ctv = np.linalg.inv(v), np.linalg.solve(c_hat.T, v)
+    p1 = elim.p1
+    tk = np.linalg.solve(lam[:, None, None] * np.eye(p1.shape[0]) + p1, p1)
+    weight = 2.0 * elim.r2 * (elim.w_t[:, None] * elim.w_y)
+    if not all(np.all(np.isfinite(m)) for m in (v_inv, ctv, tk)):
+        raise np.linalg.LinAlgError("fast diagonalization is not finite")
+
+    def columns(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return (t @ x.T[:, :, None])[:, :, 0].T
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        chi = columns(tk.transpose(0, 2, 1), r @ v_inv.T) @ ctv.T
+        return (columns(tk, (chi.real / weight) @ ctv) @ v_inv).real
+
+    return apply
+
+
+def _pcg(
+    apply: Callable[[np.ndarray], np.ndarray],
+    precondition: Callable[[np.ndarray], np.ndarray],
+    rhs: np.ndarray,
+) -> tuple[np.ndarray, list[float], list[float]] | None:
+    """(x, alphas, betas) of preconditioned CG on apply(x) = rhs from x = 0,
+    or None when it does not reach |r| <= CG_TOL |rhs| within
+    CG_MAX_ITERATIONS or stops being finite.  A breakdown (a zero
+    denominator) gives NaN, which ends the iteration."""
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    tol = (CG_TOL * np.linalg.norm(rhs)) ** 2
+    alphas, betas, rz, p = [], [], 1.0, 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(CG_MAX_ITERATIONS + 1):
+            rr = np.vdot(r, r)
+            if not np.isfinite(rr):
+                return None
+            if rr <= tol:
+                return x, alphas, betas
+            if k == CG_MAX_ITERATIONS:
+                return None
+            z = precondition(r)
+            rz, rz_old = np.vdot(r, z), rz
+            if k:
+                betas.append(rz / rz_old)
+                z += betas[-1] * p
+            p = z
+            q = apply(p)
+            alphas.append(rz / np.vdot(p, q))
+            x += alphas[-1] * p
+            r -= alphas[-1] * q
+
+
+def _ritz_ratio(alphas: list[float], betas: list[float], steps: int) -> float:
+    """max |theta| / min |theta| over the Ritz values theta of the Lanczos
+    matrix of the first `steps` CG iterations: a lower bound for the
+    condition number of the preconditioned operator.  The matrix is the
+    tridiagonal with diagonal 1/a_j + b_j/a_(j-1), subdiagonal 1/a_j and
+    superdiagonal b_(j+1)/a_j, similar to the symmetric one when every
+    b > 0 and defined even when the preconditioner is indefinite."""
+    inv = 1.0 / np.array(alphas[:steps])
+    if not inv.size:
+        return 1.0
+    upper = np.multiply(betas[: inv.size - 1], inv[:-1])
+    lanczos = np.diag(inv + np.append(0.0, upper)) + np.diag(inv[:-1], -1) + np.diag(upper, 1)
+    ritz = np.abs(np.linalg.eigvals(lanczos))
+    return float(ritz.max() / ritz.min())
+
+
+class _NullSpace:
+    """The condensed saddle system [2 Qc, F'; F, 0] [zeta; mu] = [r; g]
+    reduced onto the null space of its flux rows F zeta = zeta f, f = [w_y; 0].
+
+    Z_y, the last N_y + 1 columns of the Householder reflection that takes
+    f to a multiple of e_0, is an orthonormal basis of f's complement, so
+    zeta = g f' / |f|^2 + Y Z_y'.  Y solves the reduced system
+    (2 Qc (Y Z_y')) Z_y = (r - 2 Qc zeta_g) Z_y by CG preconditioned with
+    the exact control term, and mu = (r - 2 Qc zeta) f / |f|^2 per time row."""
+
+    def __init__(self, elim: Elimination):
+        self.elim = elim
+        self.f = np.append(elim.w_y, 0.0)
+        self.f2 = float(self.f @ self.f)
+        v = self.f.copy()
+        v[0] += np.copysign(np.sqrt(self.f2), v[0])
+        self.z_y = (np.eye(v.size) - (2.0 / float(v @ v)) * np.outer(v, v))[:, 1:]
+        self.precondition = _preconditioner(elim, self.z_y)
+
+    def hessian(self, zeta: np.ndarray) -> np.ndarray:
+        return 2.0 * self.elim.qc_mul(zeta)
+
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, list[float], list[float]] | None:
+        """([zeta; mu], CG alphas, CG betas), or None when CG fails."""
+        grid = self.elim.grid
+        r = rhs[: -(grid.n_t + 1)].reshape(grid.n_t + 1, grid.n_y + 2)
+        zeta = np.outer(rhs[-(grid.n_t + 1) :] / self.f2, self.f)
+        r_y = (r - self.hessian(zeta)) @ self.z_y
+        cg = _pcg(lambda y: self.hessian(y @ self.z_y.T) @ self.z_y, self.precondition, r_y)
+        if cg is None:
+            return None
+        y, alphas, betas = cg
+        zeta += y @ self.z_y.T
+        mu = (r - self.hessian(zeta)) @ self.f / self.f2
+        return np.concatenate([zeta.ravel(), mu]), alphas, betas
+
+
+def _condensed_solve(elim: Elimination) -> tuple[np.ndarray, np.ndarray, float, int] | None:
+    """(z, lambda, condition estimate, CG iterations) through the
+    elimination, or None when the preconditioner cannot be set up, CG fails
+    or the refined residual is not at round-off.
+
     The refinement step solves for the correction of the full saddle
     residual, mapped through the same elimination, since the condensed
     residual does not see the round-off of D = P1^-1 in the condensed
     Hessian."""
-    k = elim.saddle()
-    row_max = np.abs(k).max(axis=1)
-    s = 1.0 / np.sqrt(np.where(row_max > 0.0, row_max, 1.0))
-    k *= s[:, None]
-    k *= s
-    dim = k.shape[0]
     try:
+        reduced = _NullSpace(elim)
         z_p, r = elim.rhs(elim.c, elim.b)
-        x, probe = np.linalg.solve(k, np.column_stack([s * r, np.full(dim, 1.0 / dim)])).T
-        z, lam = elim.expand(elim.c, z_p, s * x)
+        first = reduced.solve(r)
+        if first is None:
+            return None
+        x, alphas, betas = first
+        cond = _ritz_ratio(alphas, betas, max(elim.grid.n_t + 1, elim.grid.n_y + 2))
+        z, lam = elim.expand(elim.c, z_p, x)
         r_s, r_c = _residual(elim, z, lam)
         dz_p, dr = elim.rhs(-r_s, r_c)
-        step, back = np.linalg.solve(
-            k, np.column_stack([s * dr, np.where(probe < 0.0, -1.0, 1.0)])
-        ).T
-        dz, dlam = elim.expand(-r_s, dz_p, s * step)
+        second = reduced.solve(dr)
+        if second is None:
+            return None
+        dz, dlam = elim.expand(-r_s, dz_p, second[0])
     except np.linalg.LinAlgError:
         return None
-    cond = _condition(k, probe, back)
-    if not cond * dim * _EPS < 1.0:  # also a NaN estimate
+    z, lam = z - dz, lam - dlam
+    r_s, r_c = _residual(elim, z, lam)
+    grad = 2.0 * np.abs(elim.q_mul(z)) + np.abs(elim.c) + np.abs(elim.ht_mul(lam))
+    rows = np.abs(elim.h_mul(z)) + np.abs(elim.b)
+    if not (
+        np.max(np.abs(r_s)) <= ROUND_OFF * np.max(grad)
+        and np.max(np.abs(r_c)) <= ROUND_OFF * np.max(rows)
+    ):
         return None
-    return z - dz, lam - dlam, cond
+    return z, lam, cond, len(alphas) + len(second[1])
 
 
 def solve(qp: DiscreteQp | FactoredQp) -> QpSolution:
@@ -227,10 +387,13 @@ def solve(qp: DiscreteQp | FactoredQp) -> QpSolution:
         _check_factors(elim)
     condensed = _condensed_solve(elim) if elim is not None else None
     if condensed is not None:
-        z, lam, cond = condensed
+        z, lam, cond, iterations = condensed
         deficiency = elim.eliminated
         prog = elim
     else:
+        if elim is not None:
+            _check_fits(elim.grid)
+        iterations = 0
         prog = _Dense(qp)
         h = prog.h
         n_rows = h.shape[0]
@@ -268,6 +431,7 @@ def solve(qp: DiscreteQp | FactoredQp) -> QpSolution:
         multipliers=lam,
         kkt_condition=cond,
         kkt_rank_deficiency=deficiency,
+        iterations=iterations,
     )
 
 

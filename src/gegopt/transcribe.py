@@ -33,13 +33,13 @@ Every transcribed program also has its `Elimination`: the dynamics rows
 solved for the interior control, D = P1^-1 applied in time, which leaves
 (N_y + 2)(N_t + 1) unknowns (the interior phi values and the sum
 phi + u at y = 0) under the N_t + 1 flux rows.  Its condensed Hessian is a
-sum of Kronecker products of the same time and space factors, so the
-solver factors a saddle matrix of (N_y + 3)(N_t + 1) rows.  The same
-factors give b, c, j0 and the products with Q, H and H' as
-(N_t + 1) x (N_y + 2) matrix products, so `build` and the condensed solve
-form no array of O(N^4) entries.  The dense program is assembled only when
-`Transcription.qp` is read: by the solver's SVD fall-through, the matrix
-dumps and the tests, which keep it as the reference.
+sum of Kronecker products of the same time and space factors, which the
+solver applies matrix-free.  The same factors give b, c, j0 and the
+products with Q, H and H' as (N_t + 1) x (N_y + 2) matrix products, so
+`build` and the condensed solve form no array of O(N^4) entries.  The
+dense program is assembled only when `Transcription.qp` is read: by the
+solver's SVD fall-through, the matrix dumps and the tests, which keep it as
+the reference.
 """
 
 from __future__ import annotations
@@ -158,8 +158,9 @@ class Elimination:
     The full program is held as factors too: Q = r1 [1 1; 1 1] (x) q_t (x)
     q_y plus r2 W on the interior u values, and f holds the initial profile
     at the interior space nodes, f0 its value at y = 0.  `b`, `c`, `j0` and
-    the products with Q, H and H' are (N_t + 1) x (N_y + 2) matrix products
-    of these factors, equal to the dense `Transcription.qp` to round-off.
+    the products with Q, H, H' and Qc are (N_t + 1) x (N_y + 2) matrix
+    products of these factors, equal to the dense `Transcription.qp` and
+    the Kronecker sum to round-off.
     """
 
     grid: GridIndexMap
@@ -257,45 +258,22 @@ class Elimination:
         phi[:, :-1] += lam[-n_t:, None] * self.w_y
         return np.concatenate([phi.ravel(), u.ravel()])
 
-    def saddle(self) -> np.ndarray:
-        """The condensed saddle matrix [2 Qc, F'; F, 0], (N_y + 3)(N_t + 1)
-        square.  2 Qc = S + S', where S holds each symmetric term once and
-        one of each transposed pair of cross terms twice, so 2 Qc is
-        exactly symmetric.  It is formed one row block at a time: rows j of
-        S sum t[j] (x) s over the terms, rows j of S' sum t[:, j] (x) s', in
-        the same order, so neither a product-sized temporary nor a
-        transposed pass over the matrix is needed."""
-        a, c = self.a, self._mismatch()
-        b = c + _interior(self.grid)
-        d, p1, w_t = self.d, self.p1, self.w_t
-
-        def gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            return x.T @ (self.w_y[:, None] * y)
-
-        terms = (
-            (self.r1 * np.diag(w_t) + self.r2 * d.T @ (w_t[:, None] * d), gram(a, a)),
-            (self.r1 * p1.T @ (w_t[:, None] * p1), gram(b, b)),
-            (self.r2 * np.diag(w_t), gram(c, c)),
-            (2.0 * self.r1 * (w_t[:, None] * p1), gram(a, b)),
-            (2.0 * self.r2 * (d.T * w_t), gram(a, c)),
-        )
-        n_t, n_s = self.grid.n_t + 1, self.grid.n_y + 2
-        n = n_t * n_s
-        kkt = np.zeros((n + n_t,) * 2)
-        rows, mirror, product = (np.empty((n_s, n_t, n_s)) for _ in range(3))
-        for j in range(n_t):
-            rows[...] = 0.0
-            mirror[...] = 0.0
-            for t, s in terms:
-                np.multiply(t[j][None, :, None], s[:, None, :], out=product)
-                rows += product
-                np.multiply(t[:, j][None, :, None], s.T[:, None, :], out=product)
-                mirror += product
-            np.add(rows, mirror, out=kkt[j * n_s : (j + 1) * n_s, :n].reshape(n_s, n_t, n_s))
-        flux = np.kron(np.eye(n_t), np.append(self.w_y, 0.0))
-        kkt[n:, :n] = flux
-        kkt[:n, n:] = flux.T
-        return kkt
+    def qc_mul(self, zeta: np.ndarray) -> np.ndarray:
+        """Qc zeta, the condensed Hessian r1 G' W G + r2 K' W K applied as
+        (N_t + 1) x (N_y + 2) matrix products: G zeta = zeta A' + P1 zeta B',
+        K zeta = D zeta A' + zeta C', G' chi = chi A + P1' chi B and
+        K' chi = D' chi A + chi C, with W = w_t w_y' entrywise.  B = 1 e_b'
+        reads only the y = 0 slot v of zeta and writes only that slot of
+        G' chi."""
+        zeta = zeta.reshape(self.grid.n_t + 1, self.grid.n_y + 2)
+        w = self.w_t[:, None] * self.w_y
+        za, v = zeta @ self.a.T, zeta[:, -1:]
+        state = self.r1 * w * (za + self.p1 @ v)
+        control = self.r2 * w * (self.d @ za + v - zeta[:, :-1])
+        out = (state + self.d.T @ control) @ self.a
+        out[:, :-1] -= control
+        out[:, -1] += self.p1.T @ state.sum(axis=1) + control.sum(axis=1)
+        return out
 
     def rhs(self, c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(z_p, r) for minimizing Z' Q Z + c' Z over H Z = b: z_p solves the

@@ -20,7 +20,8 @@ from scipy.linalg import lstsq, null_space
 
 from gegopt.polycore import BasisSpec
 from gegopt.nodes import sgg_rule
-from gegopt.transcribe import DiffusionOcp, DiscreteQp, GridIndexMap, build
+from gegopt.transcribe import DiffusionOcp, DiscreteQp, GridIndexMap, Transcription, build
+from gegopt import qpsolve
 from gegopt.qpsolve import (
     QpSolution,
     RankDeficientError,
@@ -62,13 +63,17 @@ def null_space_oracle(qp: DiscreteQp) -> tuple[np.ndarray, np.ndarray, float]:
     return z, lam, j
 
 
-def reference_qp(n: int, alpha: float = 0.0) -> DiscreteQp:
+def transcription(n_y: int, n_t: int, alpha: float = 0.0) -> Transcription:
     ocp = DiffusionOcp(
         length=4.0, t_final=1.0, r1=0.5, r2=0.5, initial=lambda y: 1.0 + y
     )
-    rule_y = sgg_rule(BasisSpec(alpha=alpha, length=4.0, degree=n))
-    rule_t = sgg_rule(BasisSpec(alpha=alpha, length=1.0, degree=n))
-    return build(ocp, rule_y, rule_t).qp
+    rule_y = sgg_rule(BasisSpec(alpha=alpha, length=4.0, degree=n_y))
+    rule_t = sgg_rule(BasisSpec(alpha=alpha, length=1.0, degree=n_t))
+    return build(ocp, rule_y, rule_t)
+
+
+def reference_qp(n: int, alpha: float = 0.0) -> DiscreteQp:
+    return transcription(n, n, alpha).qp
 
 
 class TestHandSolvablePrograms:
@@ -273,20 +278,67 @@ class TestGenericPath:
 
 
 class TestCondensedSolve:
-    """Transcribed programs are solved through their elimination: a saddle
-    matrix of (N_y + 3)(N_t + 1) rows instead of the full one."""
+    """Transcribed programs are solved through their elimination: CG on the
+    condensed system reduced onto the null space of its flux rows,
+    preconditioned by its control term."""
 
-    def test_factored_matrix_is_the_condensed_one(self, monkeypatch):
-        shapes = []
-        real_solve = np.linalg.solve
+    def test_linalg_sees_only_factor_sized_matrices(self, monkeypatch):
+        """No np.linalg call of the condensed route sees a matrix with more
+        rows or columns than N_t + 1 or N_y + 2, a batch of them included."""
+        largest = []
 
-        def recording_solve(a, b):
-            shapes.append(a.shape)
-            return real_solve(a, b)
+        def recording(func):
+            def wrapper(*args, **kwargs):
+                for arg in (*args, *kwargs.values()):
+                    if isinstance(arg, np.ndarray) and arg.ndim >= 2:
+                        largest.append(max(arg.shape[-2:]))
+                return func(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "solve", recording_solve)
-        solve(reference_qp(8))
-        assert max(shapes) == (99, 99)
+            return wrapper
+
+        for name in np.linalg.__all__:
+            func = getattr(np.linalg, name)
+            if callable(func) and not isinstance(func, type):
+                monkeypatch.setattr(np.linalg, name, recording(func))
+        sol = solve(transcription(11, 7).factored)
+        assert sol.iterations > 0 and largest
+        assert max(largest) <= max(7 + 1, 11 + 2)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_iterations_stay_few(self, n):
+        """The control term leaves the reduced system a condition number of
+        1 + (r1/r2)(2 t_f/pi)^2, 1.405 here, whatever N."""
+        sol = solve(transcription(n, n).factored)
+        assert 0 < sol.iterations <= 40
+        assert sol.kkt_condition == pytest.approx(1.0 + (2.0 / np.pi) ** 2, rel=1e-3)
+        assert sol.kkt_rank_deficiency == n + 1
+
+    @pytest.mark.parametrize("alpha", [-0.4, 0.0, 0.5, 3.0, 10.0])
+    def test_preconditioner_inverts_the_control_term(self, alpha, rng):
+        """M^-1 (M x) = x for M = 2 r2 (K Z)' W (K Z), to within 1e-12 in
+        normwise backward error.  The forward error is cond(M) times that,
+        and cond(M) reaches 1e12 at alpha = 10 on this grid."""
+        elim = transcription(7, 9, alpha).elimination
+        z_y = qpsolve._NullSpace(elim).z_y
+        n_t = elim.grid.n_t + 1
+        k = np.kron(elim.d, elim.a) + np.kron(np.eye(n_t), elim._mismatch())
+        kz = k @ np.kron(np.eye(n_t), z_y)
+        m = 2.0 * elim.r2 * kz.T @ (np.kron(elim.w_t, elim.w_y)[:, None] * kz)
+        x = rng.normal(size=m.shape[0])
+        mx = m @ x
+        back = qpsolve._preconditioner(elim, z_y)(mx.reshape(n_t, -1)).ravel()
+        norm = lambda v: np.linalg.norm(v, np.inf)
+        eta = norm(m @ back - mx) / (norm(m) * norm(back) + norm(mx))
+        assert eta <= 1e-12
+
+    @pytest.mark.parametrize("n, alpha", [(10, 20.0), (12, 15.0)])
+    def test_residual_gate_rejects_large_alpha(self, n, alpha):
+        """CG converges on these cells, but the refined residual stays far
+        above round-off, so they fall through and fail there."""
+        qp = transcription(n, n, alpha).factored
+        assert qpsolve._condensed_solve(qp.elimination) is None
+        with pytest.raises(SolveError):
+            solve(qp)
 
     @pytest.mark.parametrize("alpha", [-0.4, -0.2, 0.0, 0.5, 0.9])
     @pytest.mark.parametrize("n", [4, 8, 12, 16])
@@ -300,28 +352,57 @@ class TestCondensedSolve:
         )
         assert condensed.j == pytest.approx(generic.j, rel=0, abs=1e-12)
         assert condensed.kkt_rank_deficiency == generic.kkt_rank_deficiency == n + 1
+        assert condensed.iterations > 0 and generic.iterations == 0
 
     @pytest.mark.parametrize(
         "broken",
         [
-            pytest.param(lambda dim: np.zeros((dim, dim)), id="singular"),
             pytest.param(
-                lambda dim: 1.0 / (np.arange(dim)[:, None] + np.arange(dim) + 1.0),
-                id="ill-conditioned",
+                lambda real: lambda elim, z_y: real(elim, 0.0 * z_y), id="singular"
             ),
-            pytest.param(lambda dim: np.full((dim, dim), np.nan), id="not-finite"),
+            pytest.param(lambda real: lambda elim, z_y: lambda r: r, id="ill-conditioned"),
+            pytest.param(
+                lambda real: lambda elim, z_y: lambda r: np.full_like(r, np.nan),
+                id="not-finite",
+            ),
         ],
     )
     def test_failed_condensed_matrix_falls_through(self, monkeypatch, broken):
+        """A preconditioner whose setup meets a singular matrix, one that
+        leaves CG stalled short of its tolerance (the unpreconditioned
+        reduced Hessian), and one that gives NaN all hand the cell to the
+        SVD route, which answers as for a hand-built program."""
         qp = reference_qp(6)
         generic = solve(dataclasses.replace(qp, elimination=None))
-        dim = qp.elimination.saddle().shape[0]
-        monkeypatch.setattr(type(qp.elimination), "saddle", lambda self: broken(dim))
+        monkeypatch.setattr(qpsolve, "_preconditioner", broken(qpsolve._preconditioner))
         sol = solve(qp)
         np.testing.assert_array_equal(sol.z, generic.z)
         np.testing.assert_array_equal(sol.multipliers, generic.multipliers)
         assert sol.j == generic.j
         assert sol.kkt_rank_deficiency == qp.grid.n_t + 1
+        assert sol.iterations == 0
+
+    def test_fall_through_refused_when_dense_program_does_not_fit(self, monkeypatch):
+        """With too little memory for the dense H, Q and saddle matrix, a
+        cell that falls through ends in SolveError naming their sizes,
+        before the dense program is assembled."""
+        tr = transcription(6, 6)
+        factored = tr.factored
+        reads = []
+        real = type(tr).qp.fget
+        monkeypatch.setattr(type(tr), "qp", property(lambda t: reads.append(1) or real(t)))
+        monkeypatch.setattr(qpsolve, "_physical_memory", lambda: 10**5)
+
+        def singular(elim, z_y):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(qpsolve, "_preconditioner", singular)
+        need = r"H 5\.02e-05 GB, Q 0\.0001 GB, the 168-square saddle"
+        with pytest.raises(SolveError, match=need):
+            solve(factored)
+        assert not reads
+        monkeypatch.setattr(qpsolve, "_physical_memory", lambda: 10**9)
+        assert solve(factored).iterations == 0 and reads
 
 
 class TestDiagnostics:

@@ -458,7 +458,8 @@ class TestLoopReference:
 
 class TestFactoredProgram:
     """The elimination's factors reproduce the dense program: b and j0 bit
-    for bit, c and the products with Q, H and H' to round-off."""
+    for bit, c and the products with Q, H, H' and the condensed Hessian to
+    round-off."""
 
     @pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.5])
     @pytest.mark.parametrize("n_y, n_t", [(1, 1), (3, 5), (5, 3), (8, 8)])
@@ -491,9 +492,10 @@ class TestFactoredProgram:
 
     @pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.5])
     @pytest.mark.parametrize("n", [4, 12, 32])
-    def test_saddle_matches_kronecker_sum(self, n, alpha):
-        """Forming the saddle matrix one row block at a time gives the bytes
-        of the sum of np.kron products plus its transpose."""
+    def test_saddle_matches_kronecker_sum(self, n, alpha, rng):
+        """The matrix-free condensed Hessian, 2 Qc zeta, and the flux rows
+        reproduce the product with the condensed saddle matrix summed from
+        np.kron products plus its transpose."""
         elim = make_transcription(n_y=n, n_t=n, alpha=alpha).elimination
         a, c = elim.a, elim._mismatch()
         b = c + np.eye(n + 1, n + 2)
@@ -518,4 +520,9 @@ class TestFactoredProgram:
         flux = np.kron(np.eye(n + 1), np.append(elim.w_y, 0.0))
         kkt[size:, :size] = flux
         kkt[:size, size:] = flux.T
-        assert_same_bits(elim.saddle(), kkt)
+        zeta, mu = rng.normal(size=size), rng.normal(size=n + 1)
+        want = kkt @ np.concatenate([zeta, mu])
+        got = 2.0 * elim.qc_mul(zeta) + np.outer(mu, np.append(elim.w_y, 0.0))
+        assert np.abs(got.ravel() - want[:size]).max() <= 1e-14 * np.abs(want[:size]).max()
+        flux_rows = zeta.reshape(n + 1, n + 2)[:, :-1] @ elim.w_y
+        assert np.abs(flux_rows - want[size:]).max() <= 1e-14 * np.abs(want[size:]).max()
