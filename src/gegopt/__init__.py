@@ -10,7 +10,7 @@ equality-constrained quadratic program.  See the individual modules:
 - interp:     barycentric interpolation in one and two dimensions
 - intmat:     running-integral operators of arbitrary order
 - transcribe: the diffusion control problem as a QP
-- qpsolve:    the saddle-point solver with diagnostics
+- qpsolve:    the matrix-free solver of the condensed saddle system
 - bounds:     a-priori error bounds and decay shapes
 - cli:        the experiment runner (`gegopt` console script)
 """

@@ -37,6 +37,7 @@ from .qpsolve import QpSolution, solve
 from .transcribe import DiffusionOcp, Transcription, build, recover_state
 
 __all__ = [
+    "ALPHA_WINDOW",
     "RunConfig",
     "RunRecord",
     "OcpSolution",
@@ -47,6 +48,13 @@ __all__ = [
     "emit_profiles",
     "main",
 ]
+
+
+#: The open window of family parameters a run accepts.  At alpha <= -1/2 the
+#: Gegenbauer weight is not integrable; from alpha = 2 on the solver's
+#: |J - J*| stops falling with N, and from alpha = 3 on the full-interval
+#: weights go negative.
+ALPHA_WINDOW = (-0.5, 2.0)
 
 
 class ConfigError(ValueError):
@@ -73,6 +81,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.eval_grid < 2:
             raise ConfigError("eval grid needs at least two sample points")
+        low, high = ALPHA_WINDOW
+        for alpha in self.alphas:
+            if not low < alpha < high:
+                raise ConfigError(f"alpha={alpha:g} is outside the window ({low:g}, {high:g})")
 
     def cells(self) -> list[tuple[int, int, float]]:
         """Deterministic cell list, sorted by grid size then alpha."""
@@ -415,7 +427,8 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument(
         "--alpha", action="append", default=None,
-        help="family parameter(s): value, range a:b:s, or repeated",
+        help=f"family parameter(s) in the open window ({ALPHA_WINDOW[0]:g}, "
+        f"{ALPHA_WINDOW[1]:g}): value, range a:b:s, or repeated",
     )
     parser.add_argument("--sweep", action="store_true", help="allow multi-cell runs")
     parser.add_argument("--out", type=Path, default=None, help="output directory")

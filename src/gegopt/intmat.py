@@ -37,8 +37,23 @@ __all__ = [
     "shift_matrix",
     "higher_order_matrix",
     "full_interval_vector",
+    "FullIntervalRouteError",
     "dump_operator_csv",
 ]
+
+
+class FullIntervalRouteError(RuntimeError):
+    """Raised when the two constructions of a rule's full-interval vector
+    disagree (the Lagrange-basis integrals lose accuracy at large alpha)."""
+
+    def __init__(self, alpha: float, degree: int, disagreement: float):
+        self.alpha = alpha
+        self.degree = degree
+        self.disagreement = disagreement
+        super().__init__(
+            f"full-interval vector construction routes disagree for alpha={alpha:g}, "
+            f"n={degree} (largest disagreement {disagreement:.3e})"
+        )
 
 
 @dataclass(frozen=True)
@@ -174,7 +189,8 @@ def full_interval_vector(rule: QuadratureRule, length: float | None = None) -> n
 
     Built directly on the shifted interval and, independently, as
     (length / 2) times the [-1, 1] construction; the two must agree to
-    1e-12 relative to the interval length.
+    1e-12 relative to the interval length, or FullIntervalRouteError is
+    raised.
     """
     span = rule.spec.length
     if length is not None and not math.isclose(length, span, rel_tol=1e-12):
@@ -183,8 +199,9 @@ def full_interval_vector(rule: QuadratureRule, length: float | None = None) -> n
     z = rule.standard_nodes
     standard = _integrated_basis(z, rule.bary_weights, 2.0, -1.0, np.array([1.0]))[0]
     scaled = 0.5 * span * standard
-    if np.max(np.abs(direct - scaled)) > 1e-12 * max(1.0, span):
-        raise RuntimeError("full-interval vector construction routes disagree")
+    disagreement = float(np.max(np.abs(direct - scaled)))
+    if disagreement > 1e-12 * max(1.0, span):
+        raise FullIntervalRouteError(rule.spec.alpha, rule.spec.degree, disagreement)
     return direct
 
 

@@ -36,10 +36,9 @@ phi + u at y = 0) under the N_t + 1 flux rows.  Its condensed Hessian is a
 sum of Kronecker products of the same time and space factors, which the
 solver applies matrix-free.  The same factors give b, c, j0 and the
 products with Q, H and H' as (N_t + 1) x (N_y + 2) matrix products, so
-`build` and the condensed solve form no array of O(N^4) entries.  The
-dense program is assembled only when `Transcription.qp` is read: by the
-solver's SVD fall-through, the matrix dumps and the tests, which keep it as
-the reference.
+`build` and the solver form no array of O(N^4) entries.  The dense program
+is assembled only when `Transcription.qp` is read: by the matrix dumps and
+the tests, which keep it as the reference.
 """
 
 from __future__ import annotations
@@ -249,6 +248,15 @@ class Elimination:
         dyn = phi @ self.a.T + self.p1 @ ((phi + u) @ self._mismatch().T)
         return np.concatenate([dyn.ravel(), phi[:, :-1] @ self.w_y])
 
+    def h_terms(self, z: np.ndarray) -> np.ndarray:
+        """|H| |Z|, the magnitude of the terms H Z sums: the scale of its
+        round-off, which H Z itself does not give when it cancels to b = 0
+        (a constant initial profile)."""
+        phi, u = np.abs(self._blocks(z))
+        mismatch = np.abs(self._mismatch())
+        dyn = phi @ np.abs(self.a.T) + np.abs(self.p1) @ ((phi + u) @ mismatch.T)
+        return np.concatenate([dyn.ravel(), phi[:, :-1] @ np.abs(self.w_y)])
+
     def ht_mul(self, lam: np.ndarray) -> np.ndarray:
         """H' lambda, lambda = [dynamics multipliers; flux multipliers]."""
         n_t = self.grid.n_t + 1
@@ -305,7 +313,8 @@ class DiscreteQp:
     """Equality-constrained QP: minimize Z' Q Z + c' Z + j0 over H Z = b.
 
     `elimination`, when set, condenses the program onto its free data
-    (transcribed programs); hand-built programs leave it `None`."""
+    (transcribed programs), and it is all the solver reads; the solver
+    refuses a hand-built program, which leaves it `None`."""
 
     H: np.ndarray
     b: np.ndarray
@@ -319,9 +328,10 @@ class DiscreteQp:
 @dataclass(frozen=True)
 class FactoredQp:
     """A transcribed program as the solver takes it: its `elimination`,
-    whose factors are all the condensed route reads, and the dense program
-    `Transcription.qp`, assembled when one of H, b, Q, c, j0 is first read
-    (the SVD fall-through, a check) and kept by this instance alone."""
+    whose factors are all the solver reads.  H and Q come from the dense
+    program `Transcription.qp`, assembled when one of them is first read
+    (a check or an observer, never the solver) and kept by this instance
+    alone."""
 
     transcription: Transcription = field(repr=False)
     elimination: Elimination | None = field(repr=False)
@@ -331,10 +341,7 @@ class FactoredQp:
         return self.transcription.qp
 
     H = property(lambda self: self.dense.H)
-    b = property(lambda self: self.dense.b)
     Q = property(lambda self: self.dense.Q)
-    c = property(lambda self: self.dense.c)
-    j0 = property(lambda self: self.dense.j0)
 
 
 @dataclass(frozen=True)

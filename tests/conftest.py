@@ -13,11 +13,12 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy.linalg import lstsq, null_space
 
 from gegopt.cli import OcpSolution, RunRecord, run_single
 from gegopt.polycore import BasisSpec
 from gegopt.nodes import QuadratureRule, sgg_rule
-from gegopt.transcribe import DiffusionOcp
+from gegopt.transcribe import DiffusionOcp, DiscreteQp
 
 
 def reference_ocp() -> DiffusionOcp:
@@ -52,6 +53,28 @@ def solve_reference_cell(n: int, alpha: float) -> tuple[RunRecord, OcpSolution]:
 @lru_cache(maxsize=None)
 def cached_rule(alpha: float, length: float, degree: int) -> QuadratureRule:
     return sgg_rule(BasisSpec(alpha=alpha, length=length, degree=degree))
+
+
+def null_space_oracle(qp: DiscreteQp) -> tuple[np.ndarray, np.ndarray, float]:
+    """(z, lambda, J) of a dense program by an independent route: eliminate
+    the constraints, solve the reduced system.
+
+    Feasible points are z_p + N v with z_p the minimum-norm feasible point
+    and N an orthonormal null-space basis, so the minimum-norm v gives the
+    minimum-norm minimizer.
+    """
+    z_p = lstsq(qp.H, qp.b)[0]
+    basis = null_space(qp.H)
+    if basis.size:
+        reduced = 2.0 * basis.T @ qp.Q @ basis
+        rhs = -basis.T @ (2.0 * qp.Q @ z_p + qp.c)
+        v = np.linalg.lstsq(reduced, rhs, rcond=None)[0]
+        z = z_p + basis @ v
+    else:
+        z = z_p
+    lam = lstsq(qp.H.T, -(2.0 * qp.Q @ z + qp.c))[0]
+    j = float(z @ qp.Q @ z + qp.c @ z + qp.j0)
+    return z, lam, j
 
 
 def reachable_arrays(obj) -> list[np.ndarray]:

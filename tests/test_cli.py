@@ -25,9 +25,11 @@ from conftest import reachable_arrays, solve_reference_cell, reference_ocp
 import gegopt
 from gegopt import transcribe
 from gegopt.cli import (
+    ALPHA_WINDOW,
     ConfigError,
     RunConfig,
     RunRecord,
+    _build_parser,
     _csv_rows,
     _stage,
     emit_profiles,
@@ -213,6 +215,31 @@ class TestRunSweep:
             "stage 'transcribe' failed for N_y=0, N_t=0, alpha=0.0: "
             "grid needs at least one interior node per axis"
         )
+
+
+class TestAlphaWindow:
+    """alpha must lie in the open window (-1/2, 2), checked before any cell
+    runs; the edges themselves are outside it."""
+
+    @pytest.mark.parametrize("alpha", [-0.5, 2.0])
+    def test_edges_rejected_before_any_cell(self, alpha, tmp_path):
+        window = rf"alpha={alpha:g} is outside the window \(-0\.5, 2\)"
+        with pytest.raises(ConfigError, match=window):
+            RunConfig(alphas=(0.0, alpha), sweep=True)
+        out = tmp_path / "o"
+        assert main(["--Ny", "4", "--alpha", str(alpha), "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", [-0.45, 1.9])
+    def test_inside_edges_accepted(self, alpha, tmp_path):
+        assert RunConfig(alphas=(alpha,)).alphas == (alpha,)
+        args = ["--Ny", "4", "--alpha", str(alpha), "--eval-grid", "11", "--out", str(tmp_path)]
+        assert main(args) == 0
+        assert (tmp_path / f"solution_4_{alpha:g}.csv").exists()
+
+    def test_help_states_the_window(self):
+        assert ALPHA_WINDOW == (-0.5, 2.0)
+        assert "in the open window (-0.5, 2)" in " ".join(_build_parser().format_help().split())
 
 
 class TestStage:

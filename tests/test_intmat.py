@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from gegopt.polycore import BasisSpec
 from gegopt.nodes import sgg_rule
 from gegopt.intmat import (
+    FullIntervalRouteError,
     first_order_matrix,
     full_interval_vector,
     higher_order_matrix,
@@ -209,6 +210,20 @@ class TestFullIntervalVector:
             got = float(row @ rule.nodes**k)
             want = length ** (k + 1) / (k + 1)
             assert got == pytest.approx(want, rel=1e-11)
+
+    def test_disagreeing_routes_raise_typed_error(self):
+        """At alpha = 20 the Lagrange-basis integrals lose accuracy and the
+        two routes part by more than 1e-12 of the interval length."""
+        with pytest.raises(FullIntervalRouteError) as info:
+            first_order_matrix(sgg_rule(BasisSpec(20.0, 4.0, 6)))
+        err = info.value
+        assert isinstance(err, RuntimeError)
+        assert (err.alpha, err.degree) == (20.0, 6)
+        assert err.disagreement > 4e-12
+        assert str(err) == (
+            "full-interval vector construction routes disagree for alpha=20, n=6 "
+            f"(largest disagreement {err.disagreement:.3e})"
+        )
 
     def test_length_argument_validated(self):
         rule = make_rule(length=4.0, degree=3)

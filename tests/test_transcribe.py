@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reachable_arrays
+from conftest import null_space_oracle, reachable_arrays
 
 from gegopt.polycore import BasisSpec
 from gegopt.nodes import sgg_rule
@@ -443,17 +443,19 @@ class TestLoopReference:
 
     @pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.5])
     def test_solution_matches_loop_program(self, alpha):
+        """The solver on the factored program against the null-space oracle
+        on the loop-built dense one."""
         tr = make_transcription(n_y=6, n_t=6, alpha=alpha)
         ocp, grid, y = tr.ocp, tr.grid, tr.rule_y.nodes
         w_y, w_t = tr.op_y1.full_interval_row, tr.op_t1.full_interval_row
         a_phi, a_u, rhs = loop_dynamics(ocp, grid, tr.op_y2, tr.op_t1)
         h, b = combine(a_phi, a_u, loop_boundary(grid, w_y), rhs)
         q, c, j0 = loop_cost(ocp, grid, y, tr.op_t1, w_y, w_t)
-        new = solve(tr.qp)
-        old = solve(DiscreteQp(H=h, b=b, Q=q, c=c, j0=j0, grid=grid))
-        assert new.j == pytest.approx(old.j, rel=1e-13)
-        assert np.abs(new.z - old.z).max() < 1e-10
-        assert new.kkt_rank_deficiency == old.kkt_rank_deficiency == grid.n_t + 1
+        new = solve(tr.factored)
+        z, _, j = null_space_oracle(DiscreteQp(H=h, b=b, Q=q, c=c, j0=j0, grid=grid))
+        assert new.j == pytest.approx(j, rel=1e-13)
+        assert np.abs(new.z - z).max() < 1e-10
+        assert new.kkt_rank_deficiency == grid.n_t + 1
 
 
 class TestFactoredProgram:
@@ -475,6 +477,7 @@ class TestFactoredProgram:
         for got, want in (
             (elim.q_mul(z), qp.Q @ z),
             (elim.h_mul(z), qp.H @ z),
+            (elim.h_terms(z), np.abs(qp.H) @ np.abs(z)),
             (elim.ht_mul(lam), qp.H.T @ lam),
         ):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
