@@ -35,21 +35,23 @@ def barycentric_basis(
     polynomial at points[p].
 
     Rows are evaluated in barycentric form and sum to 1; a query within
-    COINCIDENCE_TOL * span of a node returns the exact unit row.
+    COINCIDENCE_TOL * span of a node returns the exact unit row.  The nodes
+    must be strictly ascending (ValueError otherwise): each point is checked
+    against its nearest node only, found by bisection on the node midpoints.
     """
+    if (nodes[1:] <= nodes[:-1]).any():
+        raise ValueError("barycentric nodes must be strictly ascending")
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    diff = pts[:, None] - nodes[None, :]
-    tol = COINCIDENCE_TOL * span
-    hits = np.abs(diff) <= tol
-    safe = np.where(hits, 1.0, diff)
-    terms = weights[None, :] / safe
-    basis = terms / terms.sum(axis=1, keepdims=True)
-    hit_rows = hits.any(axis=1)
-    if np.any(hit_rows):
-        basis[hit_rows] = 0.0
-        rows = np.nonzero(hit_rows)[0]
-        cols = np.abs(diff[hit_rows]).argmin(axis=1)
-        basis[rows, cols] = 1.0
+    basis = pts[:, None] - nodes[None, :]
+    rows = np.arange(pts.size)
+    nearest = np.searchsorted(0.5 * (nodes[:-1] + nodes[1:]), pts)
+    hit = np.abs(basis[rows, nearest]) <= COINCIDENCE_TOL * span
+    basis[rows[hit], nearest[hit]] = 1.0
+    np.divide(weights, basis, out=basis)
+    basis /= basis.sum(axis=1, keepdims=True)
+    if hit.any():
+        basis[hit] = 0.0
+        basis[rows[hit], nearest[hit]] = 1.0
     return basis
 
 

@@ -96,6 +96,11 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+#: Entries of the (upper limits x sub-rule points) x nodes block that
+#: _integrated_basis evaluates per barycentric_basis call (2 MiB of float64).
+_BLOCK_ENTRIES = 1 << 18
+
+
 def _integrated_basis(
     nodes: np.ndarray,
     bary_w: np.ndarray,
@@ -104,15 +109,24 @@ def _integrated_basis(
     uppers: np.ndarray,
 ) -> np.ndarray:
     """Exact integrals of every Lagrange basis polynomial from `lower` to
-    each entry of `uppers`, one row per upper limit."""
-    m = (nodes.size + 1) // 2 + 1
+    each entry of `uppers`, one row per upper limit.
+
+    The sub-rule points of as many upper limits as fit _BLOCK_ENTRIES (at
+    least one) are evaluated in one barycentric_basis call."""
+    n = nodes.size
+    m = (n + 1) // 2 + 1
     zg, wg = _gauss_legendre(m)
-    out = np.empty((len(uppers), nodes.size))
-    for r, upper in enumerate(uppers):
-        half = 0.5 * (upper - lower)
-        mid = 0.5 * (upper + lower)
-        vals = barycentric_basis(nodes, bary_w, mid + half * zg, span)
-        out[r] = half * (wg @ vals)
+    uppers = np.asarray(uppers, dtype=float)
+    half = 0.5 * (uppers - lower)
+    mid = 0.5 * (uppers + lower)
+    step = max(1, _BLOCK_ENTRIES // (m * n))
+    out = np.empty((uppers.size, n))
+    for start in range(0, uppers.size, step):
+        block = slice(start, start + step)
+        h = half[block, None]
+        vals = barycentric_basis(nodes, bary_w, (mid[block, None] + h * zg).ravel(), span)
+        out[block] = h * np.matmul(wg, vals.reshape(-1, m, n))
+        del vals  # let the next block's evaluation reuse this one's memory
     return out
 
 
@@ -173,8 +187,11 @@ def higher_order_matrix(first: IntegrationOperator, q: int) -> IntegrationOperat
     if q == 1:
         return first
     x = first.op_nodes
-    poly = (x[:, None] - x[None, :]) ** (q - 1)
-    matrix = first.matrix * poly / math.factorial(q - 1)
+    matrix = np.subtract.outer(x, x)
+    if q > 2:
+        matrix **= q - 1
+    matrix *= first.matrix
+    matrix /= math.factorial(q - 1)
     return IntegrationOperator(
         rule=first.rule,
         order=int(q),

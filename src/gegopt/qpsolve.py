@@ -53,7 +53,8 @@ __all__ = [
     "solve",
 ]
 
-#: Feasibility must come out no worse than this times max(1, |b|_inf).
+#: Feasibility must come out no worse than this times max(1, max(|H||z| + |b|)),
+#: the magnitude of the terms the constraint rows sum.
 FEASIBILITY_TOL = 1e-8
 
 #: CG on the reduced condensed system stops at |r| <= CG_TOL |rhs|.
@@ -267,8 +268,7 @@ def solve(qp: DiscreteQp | FactoredQp) -> QpSolution:
     worst = max(stationarity, feasibility)
     if not worst <= 1e-7 * rhs_scale:
         raise SolveError(f"saddle system is inconsistent (residual {worst:.3e})")
-    b_scale = max(1.0, float(np.max(np.abs(elim.b))))
-    if not feasibility <= FEASIBILITY_TOL * b_scale:
+    if not feasibility <= FEASIBILITY_TOL * max(1.0, rows):
         raise SolveError(f"constraints violated beyond tolerance ({feasibility:.3e})")
     j = float(z @ elim.q_mul(z) + elim.c @ z + elim.j0)
     if not np.isfinite(j):

@@ -77,6 +77,27 @@ def null_space_oracle(qp: DiscreteQp) -> tuple[np.ndarray, np.ndarray, float]:
     return z, lam, j
 
 
+def reference_barycentric_basis(
+    nodes: np.ndarray, weights: np.ndarray, points: np.ndarray, span: float
+) -> np.ndarray:
+    """The full-width barycentric basis that interp.barycentric_basis must
+    reproduce bit for bit: every point is compared with every node, and a
+    row with a node within 1e-14 * span becomes the unit row of the closest."""
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    diff = pts[:, None] - nodes[None, :]
+    hits = np.abs(diff) <= 1e-14 * span
+    safe = np.where(hits, 1.0, diff)
+    terms = weights[None, :] / safe
+    basis = terms / terms.sum(axis=1, keepdims=True)
+    hit_rows = hits.any(axis=1)
+    if np.any(hit_rows):
+        basis[hit_rows] = 0.0
+        rows = np.nonzero(hit_rows)[0]
+        cols = np.abs(diff[hit_rows]).argmin(axis=1)
+        basis[rows, cols] = 1.0
+    return basis
+
+
 def reachable_arrays(obj) -> list[np.ndarray]:
     """Every NumPy array an object holds, through the attributes of gegopt
     objects and through tuples, lists and dicts, cached values included."""

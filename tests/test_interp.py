@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_barycentric_basis
+
 from gegopt.polycore import BasisSpec
 from gegopt.nodes import sgg_rule
 from gegopt.interp import (
@@ -57,6 +59,41 @@ class TestBarycentricBasis:
         a = barycentric_basis(rule.nodes, rule.bary_weights, pts, 4.0)
         b = barycentric_basis(rule.nodes, 7.3 * rule.bary_weights, pts, 4.0)
         np.testing.assert_allclose(a, b, atol=1e-13)
+
+    @pytest.mark.parametrize("alpha", [-0.4, 0.0, 0.5, 1.9, 15.0])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 6, 7, 33, 128])
+    def test_bytes_match_full_width_reference(self, alpha, degree, rng):
+        """Nearest-node coincidence and in-place division give the full-width
+        form's bytes: on nodes, a rounding step off them, between them and at
+        both ends of the interval."""
+        length = 1.5
+        rule = make_rule(alpha=alpha, length=length, degree=degree)
+        x = rule.nodes
+        mid = 0.5 * (x[:-1] + x[1:])
+        pts = np.concatenate(
+            [
+                x[[0, -1, x.size // 2]],
+                x * (1 + 1e-16),
+                np.nextafter(x, np.inf),
+                np.nextafter(x, -np.inf),
+                x + 1e-13,
+                mid,
+                np.nextafter(mid, np.inf),
+                [0.0, length],
+                rng.uniform(0.0, length, size=40),
+            ]
+        )
+        want = reference_barycentric_basis(x, rule.bary_weights, pts, length)
+        got = barycentric_basis(x, rule.bary_weights, pts, length)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "nodes", [[0.0, 2.0, 1.0], [2.0, 1.0, 0.0], [0.0, 1.0, 1.0, 2.0]]
+    )
+    def test_non_ascending_nodes_rejected(self, nodes):
+        nodes = np.array(nodes)
+        with pytest.raises(ValueError, match="ascending"):
+            barycentric_basis(nodes, np.ones_like(nodes), np.array([0.5]), 2.0)
 
 
 class TestInterpolant1D:

@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import csv
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_barycentric_basis
+
+from gegopt import intmat
 from gegopt.polycore import BasisSpec
 from gegopt.nodes import sgg_rule
 from gegopt.intmat import (
@@ -108,6 +112,62 @@ class TestExactEntries:
             assert worst <= tol, f"degree {degree}: max entry error {worst:.3e} > {tol:.3e}"
 
 
+def reference_integrated_basis(nodes, bary_w, span, lower, uppers):
+    """The per-row construction that intmat._integrated_basis must reproduce
+    bit for bit: one full-width barycentric evaluation per upper limit."""
+    m = (nodes.size + 1) // 2 + 1
+    zg, wg = np.polynomial.legendre.leggauss(m)
+    out = np.empty((len(uppers), nodes.size))
+    for r, upper in enumerate(uppers):
+        half = 0.5 * (upper - lower)
+        mid = 0.5 * (upper + lower)
+        vals = reference_barycentric_basis(nodes, bary_w, mid + half * zg, span)
+        out[r] = half * (wg @ vals)
+    return out
+
+
+class TestBlockedEvaluation:
+    """Blocks of upper limits share one barycentric evaluation; every entry
+    keeps the per-row construction's bytes, whatever the block size."""
+
+    # At alpha = 15, n = 257 some rows' barycentric sums come out 0, so both
+    # constructions divide by zero and must agree on the inf/nan bytes too.
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.parametrize("block_entries", [intmat._BLOCK_ENTRIES, 1])
+    @pytest.mark.parametrize("alpha", [-0.4, 0.0, 0.5, 1.9, 15.0])
+    @pytest.mark.parametrize("degree", [*range(1, 13), 33, 128, 257])
+    def test_bytes_match_per_row_reference(self, degree, alpha, block_entries, monkeypatch):
+        monkeypatch.setattr(intmat, "_BLOCK_ENTRIES", block_entries)
+        length = 1.5
+        rule = make_rule(alpha, length, degree)
+        z = rule.standard_nodes
+        calls = [
+            (rule.nodes, length, 0.0, rule.nodes),
+            (rule.nodes, length, 0.0, np.array([length])),
+            (rule.nodes, length, 0.0, rule.nodes[[degree // 2]]),
+            (z, 2.0, -1.0, z),
+            (z, 2.0, -1.0, np.array([1.0])),
+        ]
+        for nodes, span, lower, uppers in calls:
+            want = reference_integrated_basis(nodes, rule.bary_weights, span, lower, uppers)
+            got = intmat._integrated_basis(nodes, rule.bary_weights, span, lower, uppers)
+            assert got.tobytes() == want.tobytes()
+
+    def test_memory_peak_of_first_and_second_order(self):
+        """Building P1 and P2 at n = 512 holds the two results and at most
+        half an n^2 block more: 2.5 * 8 n^2 bytes."""
+        n = 512
+        rule = make_rule(0.0, 1.5, n)
+        first_order_matrix(make_rule(0.0, 1.5, 4))  # lazy NumPy imports
+        tracemalloc.start()
+        try:
+            higher_order_matrix(first_order_matrix(rule), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n**2, f"peak {peak / (8 * n**2):.2f} x 8n^2 bytes"
+
+
 class TestStandardAndShift:
     def test_standard_constant(self):
         """On [-1, 1], integrating 1 from -1 gives z + 1 at the nodes."""
@@ -172,6 +232,16 @@ class TestHigherOrder:
             np.testing.assert_allclose(
                 op1.apply(op1.apply(x**k)), op2.apply(x**k), atol=1e-11
             )
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("alpha", [-0.4, 0.0, 0.5])
+    def test_bytes_match_entrywise_formula(self, q, alpha):
+        """The in-place kernel weighting gives the bytes of
+        P1 * (x_i - x_j)^(q-1) / (q-1)! evaluated with temporaries."""
+        op1 = first_order_matrix(make_rule(alpha, 1.5, 33))
+        x = op1.op_nodes
+        want = op1.matrix * (x[:, None] - x[None, :]) ** (q - 1) / math.factorial(q - 1)
+        assert higher_order_matrix(op1, q).matrix.tobytes() == want.tobytes()
 
     def test_order_one_returns_same_operator(self):
         op1 = first_order_matrix(make_rule(degree=4))

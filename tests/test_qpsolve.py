@@ -106,6 +106,16 @@ class TestNullSpaceOracle:
         assert sol.j == pytest.approx(j_ref, rel=1e-13)
         assert sol.iterations > 0
 
+    @pytest.mark.parametrize("scale", [1e9, 1e12])
+    def test_large_constant_profile(self, scale):
+        """b = 0 for a constant profile, so the feasibility gate scales with
+        the terms H z sums, not with |b|: a large constant solves, and J
+        grows as its square."""
+        unit = solve(transcription(8, 8, initial=lambda y: 1.0).factored)
+        sol = solve(transcription(8, 8, initial=lambda y: scale).factored)
+        assert sol.j / scale**2 == pytest.approx(unit.j, rel=1e-14)
+        assert sol.feasibility <= qpsolve.FEASIBILITY_TOL * scale
+
 
 class TestTranscribedStructure:
     @pytest.mark.parametrize("n", [3, 4])
