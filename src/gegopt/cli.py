@@ -123,7 +123,8 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class OcpSolution:
-    """Solved cell: unknown vector, grid fields and quality scores.
+    """Solved cell: unknown vector and grid fields.  Its objective and
+    quality scores are in the cell's `RunRecord`.
 
     phi, u and x have shape (N_y + 2, N_t + 1): rows 0..N_y are interior
     space nodes, row N_y + 1 is the boundary y = 0.
@@ -135,11 +136,6 @@ class OcpSolution:
     phi: np.ndarray
     u: np.ndarray
     x: np.ndarray
-    j: float
-    feasibility: float
-    psi1: float
-    psi2: float
-    kkt_residual: float
 
 
 def parse_initial_profile(spec: str) -> Callable[[float], float]:
@@ -190,7 +186,7 @@ def run_single(
     with _stage("transcribe", n_y, n_t, alpha):
         trans = build(ocp, rule_y, rule_t)
     with _stage("solve", n_y, n_t, alpha):
-        sol = solve(trans.factored)
+        sol = solve(trans.qp)
     with _stage("recover", n_y, n_t, alpha):
         phi, u = trans.grid.fields(sol.z)
         x = recover_state(sol.z, trans.grid, trans.op_t1, ocp, rule_y.nodes)
@@ -211,19 +207,7 @@ def run_single(
         kkt_residual=sol.kkt_residual,
         wall_time_s=wall,
     )
-    solution = OcpSolution(
-        transcription=trans,
-        qp_solution=sol,
-        z=sol.z,
-        phi=phi,
-        u=u,
-        x=x,
-        j=sol.j,
-        feasibility=sol.feasibility,
-        psi1=psi1,
-        psi2=psi2,
-        kkt_residual=sol.kkt_residual,
-    )
+    solution = OcpSolution(transcription=trans, qp_solution=sol, z=sol.z, phi=phi, u=u, x=x)
     return record, solution
 
 
@@ -327,6 +311,7 @@ def _write_report(path: Path, records: Sequence[RunRecord]) -> None:
 
 def run_sweep(config: RunConfig) -> tuple[list[RunRecord], dict[tuple[int, int, float], OcpSolution]]:
     """Run every cell of the configuration; never stops at a failed cell."""
+    cells = config.cells()
     ocp = DiffusionOcp(
         length=config.length,
         t_final=config.t_final,
@@ -339,7 +324,7 @@ def run_sweep(config: RunConfig) -> tuple[list[RunRecord], dict[tuple[int, int, 
     out = config.out
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    for n_y, n_t, alpha in config.cells():
+    for n_y, n_t, alpha in cells:
         try:
             record, sol = run_single(ocp, n_y, n_t, alpha, config.eval_grid)
         except Exception as exc:  # noqa: BLE001 - cell failures go in the report
@@ -461,12 +446,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             eval_grid=args.eval_grid,
             dump_matrices=args.dump_matrices,
         )
-        config.cells()  # validate cell construction before doing any work
         records, _ = run_sweep(config)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:  # ConfigError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     failed = [r for r in records if r.error]

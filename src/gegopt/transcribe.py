@@ -36,9 +36,11 @@ phi + u at y = 0) under the N_t + 1 flux rows.  Its condensed Hessian is a
 sum of Kronecker products of the same time and space factors, which the
 solver applies matrix-free.  The same factors give b, c, j0 and the
 products with Q, H and H' as (N_t + 1) x (N_y + 2) matrix products, so
-`build` and the solver form no array of O(N^4) entries.  The dense program
-is assembled only when `Transcription.qp` is read: by the matrix dumps and
-the tests, which keep it as the reference.
+`build` and the solver form no array of O(N^4) entries.  `Transcription.qp`
+is the one program type, `DiscreteQp`: the solver reads its elimination,
+and its dense H and b, or Q, c and j0, are assembled only when read (by
+the matrix dumps, the benchmark's feasibility check and the tests, which
+keep them as the reference).
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ __all__ = [
     "GridIndexMap",
     "Elimination",
     "DiscreteQp",
-    "FactoredQp",
     "Transcription",
     "assemble_dynamics",
     "assemble_boundary",
@@ -312,45 +313,41 @@ class Elimination:
 class DiscreteQp:
     """Equality-constrained QP: minimize Z' Q Z + c' Z + j0 over H Z = b.
 
-    `elimination`, when set, condenses the program onto its free data
-    (transcribed programs), and it is all the solver reads; the solver
-    refuses a hand-built program, which leaves it `None`."""
-
-    H: np.ndarray
-    b: np.ndarray
-    Q: np.ndarray
-    c: np.ndarray
-    j0: float
-    grid: GridIndexMap
-    elimination: Elimination | None = field(default=None, repr=False)
-
-
-@dataclass(frozen=True)
-class FactoredQp:
-    """A transcribed program as the solver takes it: its `elimination`,
-    whose factors are all the solver reads.  H and Q come from the dense
-    program `Transcription.qp`, assembled when one of them is first read
-    (a check or an observer, never the solver) and kept by this instance
-    alone."""
+    The solver reads only `elimination`.  H and b are assembled together
+    the first time either is read, and Q, c and j0 together the first time
+    one of them is read (a check, a dump or an observer, never the solver);
+    each group is kept by this instance alone."""
 
     transcription: Transcription = field(repr=False)
-    elimination: Elimination | None = field(repr=False)
+    elimination: Elimination = field(repr=False)
 
     @cached_property
-    def dense(self) -> DiscreteQp:
-        return self.transcription.qp
+    def _constraints(self) -> tuple[np.ndarray, np.ndarray]:
+        tr = self.transcription
+        a_phi, a_u, rhs = assemble_dynamics(tr.ocp, tr.grid, tr.op_y2, tr.op_t1)
+        psi = assemble_boundary(tr.grid, tr.op_y1.full_interval_row)
+        return combine(a_phi, a_u, psi, rhs)
 
-    H = property(lambda self: self.dense.H)
-    Q = property(lambda self: self.dense.Q)
+    @cached_property
+    def _cost(self) -> tuple[np.ndarray, np.ndarray, float]:
+        tr = self.transcription
+        rows = (tr.op_y1.full_interval_row, tr.op_t1.full_interval_row)
+        return assemble_cost(tr.ocp, tr.grid, tr.rule_y.nodes, tr.op_t1, *rows)
+
+    grid = property(lambda self: self.transcription.grid)
+    H = property(lambda self: self._constraints[0])
+    b = property(lambda self: self._constraints[1])
+    Q = property(lambda self: self._cost[0])
+    c = property(lambda self: self._cost[1])
+    j0 = property(lambda self: self._cost[2])
 
 
 @dataclass(frozen=True)
 class Transcription:
     """A QP together with the rules and operators that produced it.
 
-    Nothing of O(N^4) size is stored: `qp` assembles the dense program, bit
-    for bit, on each read, and `factored` gives the program as the solver
-    takes it, through its `elimination`.
+    Nothing of O(N^4) size is stored: each read of `qp` gives a fresh
+    program, whose dense parts are assembled, bit for bit, when first read.
     """
 
     ocp: DiffusionOcp
@@ -379,19 +376,8 @@ class Transcription:
         )
 
     @property
-    def factored(self) -> FactoredQp:
-        return FactoredQp(self, self.elimination)
-
-    @property
     def qp(self) -> DiscreteQp:
-        a_phi, a_u, rhs = assemble_dynamics(self.ocp, self.grid, self.op_y2, self.op_t1)
-        psi = assemble_boundary(self.grid, self.op_y1.full_interval_row)
-        h, b = combine(a_phi, a_u, psi, rhs)
-        rows = (self.op_y1.full_interval_row, self.op_t1.full_interval_row)
-        q, c, j0 = assemble_cost(self.ocp, self.grid, self.rule_y.nodes, self.op_t1, *rows)
-        return DiscreteQp(
-            H=h, b=b, Q=q, c=c, j0=j0, grid=self.grid, elimination=self.elimination
-        )
+        return DiscreteQp(self, self.elimination)
 
 
 def _check_operator(op: IntegrationOperator, order: int, size: int, length: float) -> None:
@@ -581,7 +567,7 @@ def recover_state(
 
 def build(ocp: DiffusionOcp, rule_y: QuadratureRule, rule_t: QuadratureRule) -> Transcription:
     """Full pipeline from problem data and rules to the operators of the QP;
-    the program itself is read from the result (`factored`, `qp`)."""
+    the program itself is read from the result (`qp`)."""
     grid = GridIndexMap(rule_y.spec.degree, rule_t.spec.degree)
     op_y1 = first_order_matrix(rule_y)
     op_y2 = higher_order_matrix(op_y1, 2)

@@ -39,7 +39,6 @@ from gegopt.cli import (
     run_sweep,
 )
 from gegopt.interp import Interpolant2D, eval2d_grid
-from gegopt.transcribe import Transcription
 
 
 class TestInitialProfileParsing:
@@ -159,14 +158,14 @@ class TestRunSingle:
 
     @pytest.mark.parametrize("n", [4, 12, 16])
     def test_cell_never_assembles_the_dense_program(self, monkeypatch, n):
-        """A cell solves through its elimination's factors: it neither reads
-        `Transcription.qp` nor forms the cost's dense state map."""
+        """A cell solves through its elimination's factors: it assembles
+        neither the dense constraints nor the dense cost."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("dense program assembled")
 
-        monkeypatch.setattr(Transcription, "qp", property(refuse))
-        monkeypatch.setattr(transcribe, "assemble_cost", refuse)
+        for name in ("assemble_dynamics", "assemble_boundary", "assemble_cost"):
+            monkeypatch.setattr(transcribe, name, refuse)
         record, sol = run_single(reference_ocp(), n, n, 0.0, eval_grid=11)
         assert np.isfinite(record.j)
         assert sol.qp_solution.kkt_rank_deficiency == n + 1
@@ -203,6 +202,12 @@ class TestRunSweep:
         out = tmp_path / "o"
         with pytest.raises(ConfigError, match="eval grid needs at least two sample points"):
             run_sweep(RunConfig(n_y=(4,), eval_grid=1, out=out))
+        assert not out.exists()
+
+    def test_multiple_cells_without_sweep_rejected_before_any_output(self, tmp_path):
+        out = tmp_path / "o"
+        with pytest.raises(ConfigError, match="multiple cells requested without --sweep"):
+            run_sweep(RunConfig(n_y=(4, 6), out=out))
         assert not out.exists()
 
     def test_failure_text_reads_back_from_report(self, tmp_path):

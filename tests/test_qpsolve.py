@@ -17,7 +17,7 @@ from conftest import null_space_oracle
 
 from gegopt.polycore import BasisSpec
 from gegopt.nodes import sgg_rule
-from gegopt.transcribe import DiffusionOcp, DiscreteQp, FactoredQp, Transcription, build
+from gegopt.transcribe import DiffusionOcp, DiscreteQp, Transcription, build
 from gegopt import qpsolve
 from gegopt.qpsolve import QpSolution, SolveError, solve
 
@@ -35,18 +35,13 @@ def reference_qp(n: int, alpha: float = 0.0) -> DiscreteQp:
     return transcription(n, n, alpha).qp
 
 
-def with_factors(tr: Transcription, **factors) -> FactoredQp:
+def with_factors(tr: Transcription, **factors) -> DiscreteQp:
     """The transcribed program with some factors of its elimination replaced."""
     elim = dataclasses.replace(tr.elimination, **factors)
-    return dataclasses.replace(tr.factored, elimination=elim)
+    return dataclasses.replace(tr.qp, elimination=elim)
 
 
 class TestErrorPaths:
-    def test_program_without_elimination_rejected(self):
-        qp = dataclasses.replace(reference_qp(2), elimination=None)
-        with pytest.raises(ValueError, match="no elimination"):
-            solve(qp)
-
     def test_non_finite_input_rejected(self):
         tr = transcription(4, 4)
         f = tr.elimination.f.copy()
@@ -71,7 +66,7 @@ class TestOverflowingPrograms:
         weights keep CG's |r|^2 finite, so the solve reaches J."""
         tr = transcription(4, 4, r=1e-20, initial=lambda y: 1e160 * (1.0 + y))
         with pytest.raises(SolveError, match="objective is not finite"):
-            solve(tr.factored)
+            solve(tr.qp)
 
 
 class TestNullSpaceOracle:
@@ -100,7 +95,7 @@ class TestNullSpaceOracle:
         """With f constant, b = 0 and H Z is round-off alone: the residual
         gate scales the constraint rows by the terms H Z sums."""
         tr = transcription(8, 8, initial=lambda y: 7.0)
-        sol = solve(tr.factored)
+        sol = solve(tr.qp)
         z_ref, _, j_ref = null_space_oracle(tr.qp)
         np.testing.assert_allclose(sol.z, z_ref, rtol=0, atol=1e-9)
         assert sol.j == pytest.approx(j_ref, rel=1e-13)
@@ -111,8 +106,8 @@ class TestNullSpaceOracle:
         """b = 0 for a constant profile, so the feasibility gate scales with
         the terms H z sums, not with |b|: a large constant solves, and J
         grows as its square."""
-        unit = solve(transcription(8, 8, initial=lambda y: 1.0).factored)
-        sol = solve(transcription(8, 8, initial=lambda y: scale).factored)
+        unit = solve(transcription(8, 8, initial=lambda y: 1.0).qp)
+        sol = solve(transcription(8, 8, initial=lambda y: scale).qp)
         assert sol.j / scale**2 == pytest.approx(unit.j, rel=1e-14)
         assert sol.feasibility <= qpsolve.FEASIBILITY_TOL * scale
 
@@ -185,7 +180,7 @@ class TestCondensedSolve:
             func = getattr(np.linalg, name)
             if callable(func) and not isinstance(func, type):
                 monkeypatch.setattr(np.linalg, name, recording(func))
-        sol = solve(transcription(11, 7).factored)
+        sol = solve(transcription(11, 7).qp)
         assert sol.iterations > 0 and largest
         assert max(largest) <= max(7 + 1, 11 + 2)
 
@@ -193,7 +188,7 @@ class TestCondensedSolve:
     def test_iterations_stay_few(self, n):
         """The control term leaves the reduced system a condition number of
         1 + (r1/r2)(2 t_f/pi)^2, 1.405 here, whatever N."""
-        sol = solve(transcription(n, n).factored)
+        sol = solve(transcription(n, n).qp)
         assert 0 < sol.iterations <= 40
         assert sol.kkt_condition == pytest.approx(1.0 + (2.0 / np.pi) ** 2, rel=1e-3)
         assert sol.kkt_rank_deficiency == n + 1
@@ -221,15 +216,15 @@ class TestCondensedSolve:
         """CG converges on these cells, but the refined residual stays far
         above round-off."""
         with pytest.raises(SolveError, match="refined residual is not at round-off"):
-            solve(transcription(n, n, alpha).factored)
+            solve(transcription(n, n, alpha).qp)
 
     @pytest.mark.parametrize("alpha", [-0.4, -0.2, 0.0, 0.5, 0.9])
     @pytest.mark.parametrize("n", [4, 8, 12, 16])
     def test_agrees_with_generic_path(self, n, alpha):
-        """The factored program agrees with the generic null-space
-        elimination of its dense form."""
+        """The solve through the program's elimination agrees with the
+        generic null-space elimination of its dense form."""
         tr = transcription(n, n, alpha)
-        sol = solve(tr.factored)
+        sol = solve(tr.qp)
         z_ref, lam_ref, j_ref = null_space_oracle(tr.qp)
         np.testing.assert_allclose(sol.z, z_ref, rtol=0, atol=1e-9)
         np.testing.assert_allclose(sol.multipliers, lam_ref, rtol=0, atol=1e-12)
@@ -264,7 +259,7 @@ class TestCondensedSolve:
         step."""
         monkeypatch.setattr(qpsolve, "_preconditioner", broken(qpsolve._preconditioner))
         with pytest.raises(SolveError, match=cause):
-            solve(transcription(6, 6).factored)
+            solve(transcription(6, 6).qp)
 
     def test_cg_iteration_cap_named(self, monkeypatch):
         """CG takes 12 or 13 steps per solve here; with 5 allowed the first
@@ -272,7 +267,7 @@ class TestCondensedSolve:
         monkeypatch.setattr(qpsolve, "CG_MAX_ITERATIONS", 5)
         cause = r"CG on the first solve did not reach \|r\| <= 1e-10 \|rhs\| in 5 iterations"
         with pytest.raises(SolveError, match=cause):
-            solve(transcription(6, 6).factored)
+            solve(transcription(6, 6).qp)
 
     def test_failed_refinement_solve_named(self, monkeypatch):
         real, steps = qpsolve._pcg, []
@@ -285,7 +280,7 @@ class TestCondensedSolve:
 
         monkeypatch.setattr(qpsolve, "_pcg", pcg)
         with pytest.raises(SolveError, match="CG on the refinement solve is not finite"):
-            solve(transcription(6, 6).factored)
+            solve(transcription(6, 6).qp)
         assert steps == ["first", "refinement"]
 
 

@@ -8,19 +8,21 @@ integration matrices are exact on polynomials up to the grid degree.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import null_space_oracle, reachable_arrays
 
+from gegopt import transcribe
 from gegopt.polycore import BasisSpec
 from gegopt.nodes import sgg_rule
 from gegopt.intmat import first_order_matrix, higher_order_matrix
 from gegopt.qpsolve import solve
 from gegopt.transcribe import (
     DiffusionOcp,
-    DiscreteQp,
     GridIndexMap,
     assemble_boundary,
     assemble_cost,
@@ -409,6 +411,18 @@ def loop_cost(ocp, grid, y_nodes, op_t1, full_row_y, full_row_t):
     return q, c, j0
 
 
+def record_calls(monkeypatch, *names):
+    """Wrap the named functions of `transcribe` so that each call appends
+    its name to the returned list."""
+    calls = []
+    for name in names:
+        real = getattr(transcribe, name)
+        monkeypatch.setattr(
+            transcribe, name, lambda *args, _f=real, _n=name: calls.append(_n) or _f(*args)
+        )
+    return calls
+
+
 def assert_same_bits(a, b):
     """Equal values and equal signs of zero: the arrays print identically."""
     a, b = np.asarray(a), np.asarray(b)
@@ -443,16 +457,16 @@ class TestLoopReference:
 
     @pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.5])
     def test_solution_matches_loop_program(self, alpha):
-        """The solver on the factored program against the null-space oracle
-        on the loop-built dense one."""
+        """The solver, through the program's elimination, against the
+        null-space oracle on the loop-built dense program."""
         tr = make_transcription(n_y=6, n_t=6, alpha=alpha)
         ocp, grid, y = tr.ocp, tr.grid, tr.rule_y.nodes
         w_y, w_t = tr.op_y1.full_interval_row, tr.op_t1.full_interval_row
         a_phi, a_u, rhs = loop_dynamics(ocp, grid, tr.op_y2, tr.op_t1)
         h, b = combine(a_phi, a_u, loop_boundary(grid, w_y), rhs)
         q, c, j0 = loop_cost(ocp, grid, y, tr.op_t1, w_y, w_t)
-        new = solve(tr.factored)
-        z, _, j = null_space_oracle(DiscreteQp(H=h, b=b, Q=q, c=c, j0=j0, grid=grid))
+        new = solve(tr.qp)
+        z, _, j = null_space_oracle(SimpleNamespace(H=h, b=b, Q=q, c=c, j0=j0))
         assert new.j == pytest.approx(j, rel=1e-13)
         assert np.abs(new.z - z).max() < 1e-10
         assert new.kkt_rank_deficiency == grid.n_t + 1
@@ -483,15 +497,34 @@ class TestFactoredProgram:
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_factored_program_reads_the_dense_one_once(self, monkeypatch):
+        """A program's dense parts are assembled once per instance, on first
+        read, and a fresh program assembles them afresh."""
         tr = make_transcription(n_y=3, n_t=3)
-        factored = tr.factored
-        calls = []
-        real = type(tr).qp.fget
-        monkeypatch.setattr(type(tr), "qp", property(lambda t: calls.append(1) or real(t)))
-        assert factored.elimination is not None and not calls
-        assert factored.Q.shape == (tr.grid.n_unknowns,) * 2
-        assert_same_bits(factored.H, real(tr).H)
-        assert len(calls) == 1
+        qp = tr.qp
+        calls = record_calls(monkeypatch, "assemble_dynamics", "assemble_cost")
+        assert qp.elimination is not None and not calls
+        assert qp.Q.shape == (tr.grid.n_unknowns,) * 2
+        assert_same_bits(qp.H, tr.qp.H)
+        assert qp.Q is qp.Q and qp.H is qp.H
+        assert calls == ["assemble_cost", "assemble_dynamics", "assemble_dynamics"]
+
+    @pytest.mark.parametrize("first", ["H", "b", "Q", "c", "j0"])
+    def test_dense_parts_assembled_by_group_on_read(self, monkeypatch, first):
+        """Reading H or b assembles the constraints alone, neither the cost
+        nor its state map; reading Q, c or j0 assembles the cost alone.  Each
+        group is assembled once per instance."""
+        groups = {
+            ("H", "b"): ["assemble_dynamics", "assemble_boundary"],
+            ("Q", "c", "j0"): ["assemble_cost", "state_map"],
+        }
+        every = [n for names in groups.values() for n in names]
+        calls = record_calls(monkeypatch, *every)
+        qp = make_transcription(n_y=4, n_t=3).qp
+        getattr(qp, first)
+        assert calls == next(names for group, names in groups.items() if first in group)
+        for name in ("H", "b", "Q", "c", "j0"):
+            getattr(qp, name)
+        assert sorted(calls) == sorted(every)
 
     @pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.5])
     @pytest.mark.parametrize("n", [4, 12, 32])
