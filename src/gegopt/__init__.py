@@ -9,8 +9,10 @@ equality-constrained quadratic program.  See the individual modules:
 - nodes:      Gauss rules, Christoffel numbers, barycentric weights
 - interp:     barycentric interpolation in one and two dimensions
 - intmat:     running-integral operators of arbitrary order
-- transcribe: the diffusion control problem as a QP
-- qpsolve:    the matrix-free solver of the condensed saddle system
+- transcribe: the diffusion control problem as a QP held by its Kronecker
+              factors (`DiscreteQp`)
+- qpsolve:    the matrix-free solver of the condensed saddle system, which
+              reads only those factors
 - bounds:     a-priori error bounds and decay shapes
 - cli:        the experiment runner (`gegopt` console script)
 """

@@ -186,10 +186,11 @@ def run_single(
     with _stage("transcribe", n_y, n_t, alpha):
         trans = build(ocp, rule_y, rule_t)
     with _stage("solve", n_y, n_t, alpha):
-        sol = solve(trans.qp)
+        qp = trans.qp
+        sol = solve(qp)
     with _stage("recover", n_y, n_t, alpha):
         phi, u = trans.grid.fields(sol.z)
-        x = recover_state(sol.z, trans.grid, trans.op_t1, ocp, rule_y.nodes)
+        x = recover_state(sol.z, qp)
         state_interp = Interpolant2D(rule_y, rule_t, x[: n_y + 1, :])
         ys = np.linspace(0.0, ocp.length, eval_grid)
         f_vals = np.array([float(ocp.initial(v)) for v in ys])

@@ -19,11 +19,9 @@ Operators built on [-1, 1] transfer to [0, length] by the scaling
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -38,7 +36,6 @@ __all__ = [
     "higher_order_matrix",
     "full_interval_vector",
     "FullIntervalRouteError",
-    "dump_operator_csv",
 ]
 
 
@@ -220,14 +217,3 @@ def full_interval_vector(rule: QuadratureRule, length: float | None = None) -> n
     if disagreement > 1e-12 * max(1.0, span):
         raise FullIntervalRouteError(rule.spec.alpha, rule.spec.degree, disagreement)
     return direct
-
-
-def dump_operator_csv(op: IntegrationOperator, path: str | Path) -> None:
-    """Write the operator matrix (and full-interval row, if any) as CSV."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in op.matrix:
-            writer.writerow([f"{v:.16e}" for v in row])
-        if op.full_interval_row is not None:
-            writer.writerow([f"{v:.16e}" for v in op.full_interval_row])

@@ -54,18 +54,6 @@ class BasisSpec:
             raise ValueError(f"degree must be a nonnegative integer, got {self.degree}")
 
 
-def _recurrence(alpha: float, degree: int, z: np.ndarray) -> np.ndarray:
-    # G_0 = 1, G_1 = z, (m + 2 alpha) G_{m+1} = 2 (m + alpha) z G_m - m G_{m-1}.
-    # Endpoint normalization G_m(1) = 1 is preserved term by term.
-    if degree == 0:
-        return np.ones_like(z)
-    prev = np.ones_like(z)
-    cur = np.array(z, dtype=float, copy=True)
-    for m in range(1, degree):
-        prev, cur = cur, (2.0 * (m + alpha) * z * cur - m * prev) / (m + 2.0 * alpha)
-    return cur
-
-
 def gegenbauer_with_derivative(
     alpha: float, degree: int, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -94,7 +82,7 @@ def eval_gegenbauer(spec: BasisSpec, x):
     if np.any(np.abs(x_arr) > 1.0 + DOMAIN_TOL):
         raise ValueError("evaluation point outside [-1, 1]")
     z = np.clip(x_arr, -1.0, 1.0)
-    out = _recurrence(spec.alpha, spec.degree, z)
+    out = gegenbauer_with_derivative(spec.alpha, spec.degree, z)[0]
     return float(out) if x_arr.ndim == 0 else out
 
 
@@ -105,7 +93,7 @@ def eval_shifted_gegenbauer(spec: BasisSpec, x):
     if np.any(x_arr < -tol) or np.any(x_arr > spec.length + tol):
         raise ValueError(f"evaluation point outside [0, {spec.length}]")
     z = np.clip(2.0 * x_arr / spec.length - 1.0, -1.0, 1.0)
-    out = _recurrence(spec.alpha, spec.degree, z)
+    out = gegenbauer_with_derivative(spec.alpha, spec.degree, z)[0]
     return float(out) if x_arr.ndim == 0 else out
 
 

@@ -6,25 +6,25 @@ The first-order optimality conditions form the symmetric saddle system
     [2Q  H'] [Z     ]   [-c]
     [H   0 ] [lambda] = [ b].
 
-A transcribed program carries its `Elimination`, which condenses it onto
-the free data of the state: the dynamics rows give the interior control
-through integration matrices, and phi and u at y = 0 enter only through
-their sum, split evenly.  What is left is the condensed saddle system
-[2 Qc, F'; F, 0] of (N_y + 3)(N_t + 1) rows, whose only constraints are the
-N_t + 1 flux rows.  The solver reads nothing but the elimination: b, c, j0
-and the products with Q, H, H' and Qc come from its Kronecker factors as
-(N_t + 1) x (N_y + 2) matrix products, and its input checks ask that the
-factors be finite and Q's time and space factors symmetric.  The flux rows
-have an explicit Kronecker null space, so the solver reduces the condensed
-system onto it and solves the reduced system, SPD for a sound cell, by
-conjugate gradients preconditioned with its control term, which fast
-diagonalization on the space side applies exactly (Benzi, Golub & Liesen,
-Acta Numer. 14 (2005); Lynch, Rice & Thomas, Numer. Math. 6 (1964)).  No
-array of O(N^4) entries is formed, and no matrix larger than a time or
-space factor is factored.
+A transcribed program, `DiscreteQp`, holds the Kronecker factors through
+which it condenses onto the free data of the state: the dynamics rows give
+the interior control through integration matrices, and phi and u at y = 0
+enter only through their sum, split evenly.  What is left is the condensed
+saddle system [2 Qc, F'; F, 0] of (N_y + 3)(N_t + 1) rows, whose only
+constraints are the N_t + 1 flux rows.  The solver reads nothing but the
+factors, never the dense H or Q: b, c, j0 and the products with Q, H, H'
+and Qc are (N_t + 1) x (N_y + 2) matrix products of them, and its input
+checks ask that the factors be finite and Q's time and space factors
+symmetric.  The flux rows have an explicit Kronecker null space, so the
+solver reduces the condensed system onto it and solves the reduced system,
+SPD for a sound cell, by conjugate gradients preconditioned with its
+control term, which fast diagonalization on the space side applies exactly
+(Benzi, Golub & Liesen, Acta Numer. 14 (2005); Lynch, Rice & Thomas,
+Numer. Math. 6 (1964)).  No array of O(N^4) entries is formed, and no
+matrix larger than a time or space factor is factored.
 The result is lifted back to Z and lambda.  The one refinement step takes
 the residual of the full saddle system, maps it through the same
-elimination and solves again; a refinement on the condensed residual alone
+condensing and solves again; a refinement on the condensed residual alone
 would not see the round-off that D = P1^-1 carries into the condensed
 Hessian, squared in its control term.  The N_t + 1 split directions that
 the condensing removes are the reported rank deficiency, and `iterations`
@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .transcribe import DiscreteQp, Elimination
+from .transcribe import DiscreteQp
 
 __all__ = [
     "QpSolution",
@@ -93,26 +93,26 @@ class QpSolution:
     iterations: int
 
 
-def _residual(elim: Elimination, z: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _residual(qp: DiscreteQp, z: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Residual of the full saddle system: (stationarity, constraints)."""
-    return 2.0 * elim.q_mul(z) + elim.c + elim.ht_mul(lam), elim.h_mul(z) - elim.b
+    return 2.0 * qp.q_mul(z) + qp.c + qp.ht_mul(lam), qp.h_mul(z) - qp.b
 
 
-def _check_factors(elim: Elimination) -> None:
-    """An elimination's factors and data must be finite, and the time and
-    space factors of Q symmetric."""
-    for f in fields(elim):
-        value = getattr(elim, f.name)
+def _check_factors(qp: DiscreteQp) -> None:
+    """A program's factors and data must be finite, and the time and space
+    factors of Q symmetric."""
+    for f in fields(qp):
+        value = getattr(qp, f.name)
         if f.name != "grid" and not np.all(np.isfinite(value)):
-            raise ValueError(f"non-finite entries in elimination factor {f.name}")
+            raise ValueError(f"non-finite entries in program factor {f.name}")
     for name in ("q_t", "q_y"):
-        factor = getattr(elim, name)
+        factor = getattr(qp, name)
         scale = max(1.0, float(np.max(np.abs(factor), initial=0.0)))
         if float(np.max(np.abs(factor - factor.T), initial=0.0)) > 1e-12 * scale:
             raise ValueError(f"cost factor {name} must be symmetric")
 
 
-def _preconditioner(elim: Elimination, z_y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def _preconditioner(qp: DiscreteQp, z_y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """M^-1 for the control term M = 2 r2 (K Z)' W (K Z) of the reduced
     Hessian, applied exactly by fast diagonalization on the space side.
 
@@ -123,12 +123,12 @@ def _preconditioner(elim: Elimination, z_y: np.ndarray) -> Callable[[np.ndarray]
     T_k = (l_k I + P1)^-1 P1.  P1 itself is not diagonalized: its
     eigenvectors are far too ill conditioned.  Raises LinAlgError when the
     diagonalization is singular or not finite."""
-    a_hat, c_hat = elim.a @ z_y, elim._mismatch() @ z_y
+    a_hat, c_hat = qp.a @ z_y, qp._mismatch() @ z_y
     lam, v = np.linalg.eig(np.linalg.solve(c_hat, a_hat).T)
     v_inv, ctv = np.linalg.inv(v), np.linalg.solve(c_hat.T, v)
-    p1 = elim.p1
+    p1 = qp.p1
     tk = np.linalg.solve(lam[:, None, None] * np.eye(p1.shape[0]) + p1, p1)
-    weight = 2.0 * elim.r2 * (elim.w_t[:, None] * elim.w_y)
+    weight = 2.0 * qp.r2 * (qp.w_t[:, None] * qp.w_y)
     if not all(np.all(np.isfinite(m)) for m in (v_inv, ctv, tk)):
         raise np.linalg.LinAlgError("fast diagonalization is not finite")
 
@@ -206,22 +206,22 @@ class _NullSpace:
     (2 Qc (Y Z_y')) Z_y = (r - 2 Qc zeta_g) Z_y by CG preconditioned with
     the exact control term, and mu = (r - 2 Qc zeta) f / |f|^2 per time row."""
 
-    def __init__(self, elim: Elimination):
-        self.elim = elim
-        self.f = np.append(elim.w_y, 0.0)
+    def __init__(self, qp: DiscreteQp):
+        self.qp = qp
+        self.f = np.append(qp.w_y, 0.0)
         self.f2 = float(self.f @ self.f)
         v = self.f.copy()
         v[0] += np.copysign(np.sqrt(self.f2), v[0])
         self.z_y = (np.eye(v.size) - (2.0 / float(v @ v)) * np.outer(v, v))[:, 1:]
-        self.precondition = _preconditioner(elim, self.z_y)
+        self.precondition = _preconditioner(qp, self.z_y)
 
     def hessian(self, zeta: np.ndarray) -> np.ndarray:
-        return 2.0 * self.elim.qc_mul(zeta)
+        return 2.0 * self.qp.qc_mul(zeta)
 
     def solve(self, rhs: np.ndarray, step: str) -> tuple[np.ndarray, list[float], list[float]]:
         """([zeta; mu], CG alphas, CG betas); CG failing raises SolveError
         naming `step`."""
-        grid = self.elim.grid
+        grid = self.qp.grid
         r = rhs[: -(grid.n_t + 1)].reshape(grid.n_t + 1, grid.n_y + 2)
         zeta = np.outer(rhs[-(grid.n_t + 1) :] / self.f2, self.f)
         r_y = (r - self.hessian(zeta)) @ self.z_y
@@ -234,40 +234,39 @@ class _NullSpace:
 
 
 def solve(qp: DiscreteQp) -> QpSolution:
-    """Solve a transcribed QP through its elimination, with one refinement
+    """Solve a transcribed QP through its factors, with one refinement
     step on the full saddle residual; returns the minimum-norm first-order
     optimal point.  Raises ValueError for non-finite or asymmetric factors
     and SolveError naming the step that fails."""
-    elim = qp.elimination
-    _check_factors(elim)
+    _check_factors(qp)
     try:
-        reduced = _NullSpace(elim)
+        reduced = _NullSpace(qp)
     except np.linalg.LinAlgError as exc:
         raise SolveError(f"preconditioner setup failed: {exc}") from exc
-    z_p, r = elim.rhs(elim.c, elim.b)
+    z_p, r = qp.rhs(qp.c, qp.b)
     x, alphas, betas = reduced.solve(r, "first")
-    z, lam = elim.expand(elim.c, z_p, x)
-    r_s, r_c = _residual(elim, z, lam)
-    dz_p, dr = elim.rhs(-r_s, r_c)
+    z, lam = qp.expand(qp.c, z_p, x)
+    r_s, r_c = _residual(qp, z, lam)
+    dz_p, dr = qp.rhs(-r_s, r_c)
     dx, refinement, _ = reduced.solve(dr, "refinement")
-    dz, dlam = elim.expand(-r_s, dz_p, dx)
+    dz, dlam = qp.expand(-r_s, dz_p, dx)
     z, lam = z - dz, lam - dlam
 
     # Residual of the full saddle system: stationarity, then constraints.
-    r_s, r_c = _residual(elim, z, lam)
+    r_s, r_c = _residual(qp, z, lam)
     stationarity, feasibility = float(np.max(np.abs(r_s))), float(np.max(np.abs(r_c)))
-    grad = np.max(2.0 * np.abs(elim.q_mul(z)) + np.abs(elim.c) + np.abs(elim.ht_mul(lam)))
-    rows = np.max(elim.h_terms(z) + np.abs(elim.b))
+    grad = np.max(2.0 * np.abs(qp.q_mul(z)) + np.abs(qp.c) + np.abs(qp.ht_mul(lam)))
+    rows = np.max(qp.h_terms(z) + np.abs(qp.b))
     if not (stationarity <= ROUND_OFF * grad and feasibility <= ROUND_OFF * rows):
         raise SolveError(
             f"refined residual is not at round-off: stationarity {stationarity:.3e} against "
             f"terms up to {grad:.3e}, constraints {feasibility:.3e} against terms up to {rows:.3e}"
         )
-    rhs_scale = max(1.0, float(np.max(np.abs(np.concatenate([elim.c, elim.b])))))
+    rhs_scale = max(1.0, float(np.max(np.abs(np.concatenate([qp.c, qp.b])))))
     worst = max(stationarity, feasibility)
     if not worst <= 1e-7 * rhs_scale:
         raise SolveError(f"saddle system is inconsistent (residual {worst:.3e})")
-    j = float(z @ elim.q_mul(z) + elim.c @ z + elim.j0)
+    j = float(z @ qp.q_mul(z) + qp.c @ z + qp.j0)
     if not np.isfinite(j):
         raise SolveError(f"objective is not finite ({j})")
     return QpSolution(
@@ -276,7 +275,7 @@ def solve(qp: DiscreteQp) -> QpSolution:
         kkt_residual=stationarity,
         feasibility=feasibility,
         multipliers=lam,
-        kkt_condition=_ritz_ratio(alphas, betas, max(elim.grid.n_t + 1, elim.grid.n_y + 2)),
-        kkt_rank_deficiency=elim.eliminated,
+        kkt_condition=_ritz_ratio(alphas, betas, max(qp.grid.n_t + 1, qp.grid.n_y + 2)),
+        kkt_rank_deficiency=qp.eliminated,
         iterations=len(alphas) + len(refinement),
     )

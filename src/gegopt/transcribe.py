@@ -25,27 +25,26 @@ product of a time factor (N_t + 1 square) and a space factor over the
 N_y + 2 slots of a time slice.
 
 The cost is the Gauss discretization of the running integral of
-r1 x^2 + r2 u^2, written both as an assembled quadratic form
-(Q, c, j0) with J(Z) = Z' Q Z + c' Z + j0 and as a literal nested
-summation used as a cross-check oracle.
+r1 x^2 + r2 u^2, J(Z) = Z' Q Z + c' Z + j0, with a literal nested summation
+kept as a cross-check oracle.
 
-Every transcribed program also has its `Elimination`: the dynamics rows
-solved for the interior control, D = P1^-1 applied in time, which leaves
-(N_y + 2)(N_t + 1) unknowns (the interior phi values and the sum
-phi + u at y = 0) under the N_t + 1 flux rows.  Its condensed Hessian is a
-sum of Kronecker products of the same time and space factors, which the
-solver applies matrix-free.  The same factors give b, c, j0 and the
-products with Q, H and H' as (N_t + 1) x (N_y + 2) matrix products, so
-`build` and the solver form no array of O(N^4) entries.  `Transcription.qp`
-is the one program type, `DiscreteQp`: the solver reads its elimination,
-and its dense H and b, or Q, c and j0, are assembled only when read (by
-the matrix dumps, the benchmark's feasibility check and the tests, which
-keep them as the reference).
+`Transcription.qp` is the one program type, `DiscreteQp`, and it holds only
+those time and space factors.  The solver condenses the program through them:
+the dynamics rows solved for the interior control, D = P1^-1 applied in
+time, leave (N_y + 2)(N_t + 1) unknowns (the interior phi values and the sum
+phi + u at y = 0) under the N_t + 1 flux rows, and the condensed Hessian is
+a sum of Kronecker products of the same factors, applied matrix-free.  b, c,
+j0 and the products with Q, H and H' are (N_t + 1) x (N_y + 2) matrix
+products of them, so `build` and the solver form no array of O(N^4)
+entries.  The dense H and Q are the Kronecker expansions of the factors,
+each written straight into one array the first time it is read (by the
+matrix dumps, the benchmark's feasibility check and the tests, which keep
+them as the reference).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -61,7 +60,6 @@ from .nodes import QuadratureRule
 __all__ = [
     "DiffusionOcp",
     "GridIndexMap",
-    "Elimination",
     "DiscreteQp",
     "Transcription",
     "assemble_dynamics",
@@ -134,14 +132,16 @@ class GridIndexMap:
 
 
 @dataclass(frozen=True)
-class Elimination:
-    """The transcribed QP condensed onto the free data of the state.
+class DiscreteQp:
+    """Equality-constrained QP, minimize Z' Q Z + c' Z + j0 over H Z = b,
+    held as the Kronecker factors of the transcription.
 
-    The condensed unknowns zeta form one (N_t + 1) x (N_y + 2) time-major
-    block: slots 0..N_y hold the interior phi values E phi, slot N_y + 1
-    holds v = phi_b + u_b, the sum through which alone the y = 0 values
-    enter the program.  On the dynamics rows H_d Z = r the state and the
-    interior control are affine in zeta, through integration matrices only:
+    The solver condenses it onto the free data of the state.  The condensed
+    unknowns zeta form one (N_t + 1) x (N_y + 2) time-major block: slots
+    0..N_y hold the interior phi values E phi, slot N_y + 1 holds
+    v = phi_b + u_b, the sum through which alone the y = 0 values enter the
+    program.  On the dynamics rows H_d Z = r the state and the interior
+    control are affine in zeta, through integration matrices only:
 
         x  = fbar - r + G zeta,        G = I_t (x) A + P1 (x) B,
         Eu = K zeta - (D (x) I) r,     K = D (x) A + I_t (x) C,
@@ -159,8 +159,9 @@ class Elimination:
     q_y plus r2 W on the interior u values, and f holds the initial profile
     at the interior space nodes, f0 its value at y = 0.  `b`, `c`, `j0` and
     the products with Q, H, H' and Qc are (N_t + 1) x (N_y + 2) matrix
-    products of these factors, equal to the dense `Transcription.qp` and
-    the Kronecker sum to round-off.
+    products of these factors.  The dense `H` (`combine`) and `Q`
+    (`assemble_cost`) are their Kronecker expansions, formed the first time
+    each is read and kept by this instance alone; the solver reads neither.
     """
 
     grid: GridIndexMap
@@ -308,46 +309,23 @@ class Elimination:
         lam_d = np.linalg.solve(self.p1.T, g[1, :, :-1])
         return z, np.concatenate([lam_d.ravel(), x[n:]])
 
-
-@dataclass(frozen=True)
-class DiscreteQp:
-    """Equality-constrained QP: minimize Z' Q Z + c' Z + j0 over H Z = b.
-
-    The solver reads only `elimination`.  H and b are assembled together
-    the first time either is read, and Q, c and j0 together the first time
-    one of them is read (a check, a dump or an observer, never the solver);
-    each group is kept by this instance alone."""
-
-    transcription: Transcription = field(repr=False)
-    elimination: Elimination = field(repr=False)
+    @cached_property
+    def H(self) -> np.ndarray:
+        """Dense constraint matrix: dynamics rows, then flux rows."""
+        return combine(self)
 
     @cached_property
-    def _constraints(self) -> tuple[np.ndarray, np.ndarray]:
-        tr = self.transcription
-        a_phi, a_u, rhs = assemble_dynamics(tr.ocp, tr.grid, tr.op_y2, tr.op_t1)
-        psi = assemble_boundary(tr.grid, tr.op_y1.full_interval_row)
-        return combine(a_phi, a_u, psi, rhs)
-
-    @cached_property
-    def _cost(self) -> tuple[np.ndarray, np.ndarray, float]:
-        tr = self.transcription
-        rows = (tr.op_y1.full_interval_row, tr.op_t1.full_interval_row)
-        return assemble_cost(tr.ocp, tr.grid, tr.rule_y.nodes, tr.op_t1, *rows)
-
-    grid = property(lambda self: self.transcription.grid)
-    H = property(lambda self: self._constraints[0])
-    b = property(lambda self: self._constraints[1])
-    Q = property(lambda self: self._cost[0])
-    c = property(lambda self: self._cost[1])
-    j0 = property(lambda self: self._cost[2])
+    def Q(self) -> np.ndarray:
+        """Dense Hessian of the cost."""
+        return assemble_cost(self)
 
 
 @dataclass(frozen=True)
 class Transcription:
-    """A QP together with the rules and operators that produced it.
+    """The rules and operators of a transcribed problem.
 
     Nothing of O(N^4) size is stored: each read of `qp` gives a fresh
-    program, whose dense parts are assembled, bit for bit, when first read.
+    program, whose dense H and Q are expanded, bit for bit, when first read.
     """
 
     ocp: DiffusionOcp
@@ -364,20 +342,18 @@ class Transcription:
         _check_operator(self.op_t1, 1, self.grid.n_t + 1, self.ocp.t_final)
 
     @property
-    def elimination(self) -> Elimination:
-        p1 = self.op_t1.matrix
+    def qp(self) -> DiscreteQp:
+        """The program's factors.  Q's time factor P1' W_t P1 is symmetrized
+        so that Q is exactly symmetric; its space factor is E' W_y E."""
+        p1, e = self.op_t1.matrix, _interior(self.grid)
         w_y, w_t = self.op_y1.full_interval_row, self.op_t1.full_interval_row
-        q_t, w_slots = _cost_factors(self.grid, p1, w_y, w_t)
-        return Elimination(
+        gram_t = p1.T @ (w_t[:, None] * p1)
+        return DiscreteQp(
             grid=self.grid, r1=self.ocp.r1, r2=self.ocp.r2, p1=p1, d=np.linalg.inv(p1),
-            a=self.op_y2.matrix @ _interior(self.grid), w_t=w_t, w_y=w_y,
-            q_t=q_t, q_y=np.diag(w_slots), f=_profile(self.ocp, self.op_y2.rule.nodes),
+            a=self.op_y2.matrix @ e, w_t=w_t, w_y=w_y, q_t=0.5 * (gram_t + gram_t.T),
+            q_y=np.diag(w_y @ e), f=_profile(self.ocp, self.op_y2.rule.nodes),
             f0=float(self.ocp.initial(0.0)),
         )
-
-    @property
-    def qp(self) -> DiscreteQp:
-        return DiscreteQp(self, self.elimination)
 
 
 def _check_operator(op: IntegrationOperator, order: int, size: int, length: float) -> None:
@@ -394,22 +370,16 @@ def _interior(grid: GridIndexMap) -> np.ndarray:
     return np.eye(grid.n_y + 1, grid.n_y + 2)
 
 
-def _cost_factors(
-    grid: GridIndexMap, p1: np.ndarray, full_row_y: np.ndarray, full_row_t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Time factor P1' W_t P1, symmetrized, and the diagonal of the space
-    factor E' W_y E of the cost's state term."""
-    gram_t = p1.T @ (full_row_t[:, None] * p1)
-    return 0.5 * (gram_t + gram_t.T), full_row_y @ _interior(grid)
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron with every zero entry +0.0: a product 0 * (negative entry) is
-    -0.0, which the matrix dumps would print as -0.  Cleared in place, since
-    a second product-sized array raises the solver's peak memory."""
-    k = np.kron(a, b)
-    k += 0.0
-    return k
+def _kron(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Set every block of the 2-D array `out` to np.kron(a, b), with every
+    zero entry +0.0: a product 0 * (negative entry) is -0.0, which the
+    matrix dumps would print as -0.  All blocks are written by one product
+    and cleared in place, so no block-sized temporary is formed."""
+    (a0, a1), (b0, b1) = a.shape, b.shape
+    # Splitting each axis of a 2-D array, a strided slice included, gives a view.
+    view = out.reshape(-1, a0, b0, out.shape[1] // (a1 * b1), a1, b1)
+    np.multiply(a[:, None, None, :, None], b[:, None, None, :], out=view)
+    out += 0.0
 
 
 def _profile(ocp: DiffusionOcp, y: np.ndarray) -> np.ndarray:
@@ -417,103 +387,73 @@ def _profile(ocp: DiffusionOcp, y: np.ndarray) -> np.ndarray:
     return np.array([float(ocp.initial(v)) for v in y])
 
 
-def assemble_dynamics(
-    ocp: DiffusionOcp,
-    grid: GridIndexMap,
-    op_y2: IntegrationOperator,
-    op_t1: IntegrationOperator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collocated dynamics rows: (phi-block matrix, u-block matrix, rhs).
+def assemble_dynamics(qp: DiscreteQp, out: np.ndarray) -> None:
+    """Collocated dynamics rows, written into `out`, the first
+    (N_y + 1)(N_t + 1) rows of H.
 
     Row (i, j) states that the twice-integrated phi plus the once-integrated
     mismatch between boundary and local values of phi + u balances
     f(y_i) - f(0).  Only interior space indices generate rows; the boundary
     unknowns appear in the columns alone.  In Kronecker form, with E the
-    interior selector and e_b the boundary slot,
-
-        a_u = P1 (x) (1 e_b' - E),    a_phi = I_t (x) (P2 E) + a_u.
+    interior selector and e_b the boundary slot, the u block is
+    P1 (x) (1 e_b' - E) and the phi block is I_t (x) (P2 E) plus the u
+    block: both blocks are written as the u block, then P2 E is added to the
+    diagonal time blocks of phi.
     """
-    n_y, n_t = grid.n_y, grid.n_t
-    _check_operator(op_y2, 2, n_y + 1, ocp.length)
-    _check_operator(op_t1, 1, n_t + 1, ocp.t_final)
-    e = _interior(grid)
-    mismatch = -e
-    mismatch[:, -1] = 1.0
-    a_u = _kron(op_t1.matrix, mismatch)
-    a_phi = _kron(np.eye(n_t + 1), op_y2.matrix @ e)
-    a_phi += a_u
-    f = _profile(ocp, op_y2.rule.nodes)
-    rhs = np.tile(f - float(ocp.initial(0.0)), n_t + 1)
-    return a_phi, a_u, rhs
+    n_t = qp.grid.n_t + 1
+    _kron(qp.p1, qp._mismatch(), out)
+    phi = out[:, : qp.grid.block_size].reshape(n_t, qp.grid.n_y + 1, n_t, qp.grid.n_y + 2)
+    for j in range(n_t):
+        phi[j, :, j] += qp.a
 
 
-def assemble_boundary(grid: GridIndexMap, full_row_y: np.ndarray) -> np.ndarray:
-    """Zero-flux closure at y = L: one row per time node requiring the
-    interior phi values to integrate to zero across [0, L], I_t (x) (w_y' E)
-    on the phi block."""
-    if full_row_y.shape != (grid.n_y + 1,):
-        raise ValueError("full-interval row does not match the space grid")
-    psi = np.zeros((grid.n_t + 1, grid.n_unknowns))
-    psi[:, : grid.block_size] = _kron(np.eye(grid.n_t + 1), full_row_y @ _interior(grid))
-    return psi
+def assemble_boundary(qp: DiscreteQp, out: np.ndarray) -> None:
+    """Zero-flux closure at y = L, written into `out`, the last N_t + 1 rows
+    of H (zero on entry): row j requires the interior phi values of time
+    node j to integrate to zero across [0, L], I_t (x) (w_y' E) on the phi
+    block."""
+    stride = qp.grid.n_y + 2
+    for j in range(qp.grid.n_t + 1):
+        out[j, j * stride : j * stride + qp.grid.n_y + 1] = qp.w_y
 
 
-def state_map(
-    ocp: DiffusionOcp,
-    grid: GridIndexMap,
-    y_nodes: np.ndarray,
-    op_t1: IntegrationOperator,
-) -> tuple[np.ndarray, np.ndarray]:
+def combine(qp: DiscreteQp) -> np.ndarray:
+    """The full constraint matrix H: the dynamics rows over the flux rows,
+    each written by its assembler into its slice of one array."""
+    n_dyn = (qp.grid.n_y + 1) * (qp.grid.n_t + 1)
+    h = np.zeros((n_dyn + qp.grid.n_t + 1, qp.grid.n_unknowns))
+    assemble_dynamics(qp, h[:n_dyn])
+    assemble_boundary(qp, h[n_dyn:])
+    return h
+
+
+def state_map(qp: DiscreteQp) -> tuple[np.ndarray, np.ndarray]:
     """Affine recovery of the interior state from the unknown vector:
     x_interior = M Z + fbar, ordered time-major (space fastest), with
-    M = [P1 (x) E, P1 (x) E]."""
-    m = _kron(op_t1.matrix, _interior(grid))
-    return np.hstack([m, m]), np.tile(_profile(ocp, y_nodes), grid.n_t + 1)
+    M = [P1 (x) E, P1 (x) E].  The program and its solver do without the
+    dense M; it is the reference for `recover_state` and the cost."""
+    m = np.empty(((qp.grid.n_y + 1) * (qp.grid.n_t + 1), qp.grid.n_unknowns))
+    _kron(qp.p1, _interior(qp.grid), m)
+    return m, np.tile(qp.f, qp.grid.n_t + 1)
 
 
-def assemble_cost(
-    ocp: DiffusionOcp,
-    grid: GridIndexMap,
-    y_nodes: np.ndarray,
-    op_t1: IntegrationOperator,
-    full_row_y: np.ndarray,
-    full_row_t: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Quadratic form of the discretized cost: J(Z) = Z' Q Z + c' Z + j0.
+def assemble_cost(qp: DiscreteQp) -> np.ndarray:
+    """Q of the discretized cost J(Z) = Z' Q Z + c' Z + j0.
 
     The running cost is integrated by the full-interval rows in both
     coordinates; the state enters through the affine recovery map, so
     Q = r1 M' W M + r2 S' W S with W = W_t (x) W_y the tensor quadrature
     weight and S the interior-u selector.  Since M = [1, 1] (x) P1 (x) E,
-    r1 M' W M = r1 [[B, B], [B, B]] with B = (P1' W_t P1) (x) (E' W_y E);
-    the time factor is symmetrized so Q is exactly symmetric.  S' W S is
-    diagonal and is added in place.
+    r1 M' W M = r1 [[B, B], [B, B]] with B = q_t (x) q_y, all four blocks
+    written by one product.  S' W S is diagonal and is added in place.
     """
-    m, fbar = state_map(ocp, grid, y_nodes, op_t1)
-    w = np.kron(full_row_t, full_row_y)
-    q_t, w_slots = _cost_factors(grid, op_t1.matrix, full_row_y, full_row_t)
-    b = _kron(q_t, np.diag(w_slots))
-    b *= ocp.r1
-    q = np.block([[b, b], [b, b]])
-    u_diag = np.arange(grid.block_size, grid.n_unknowns)
-    q[u_diag, u_diag] += ocp.r2 * np.kron(full_row_t, w_slots)
-    c = 2.0 * ocp.r1 * (m.T @ (w * fbar))
-    j0 = ocp.r1 * float(w @ fbar**2)
-    return q, c, j0
-
-
-def combine(
-    a_phi: np.ndarray, a_u: np.ndarray, psi: np.ndarray, rhs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stack dynamics and boundary rows into the full constraint system."""
-    if a_phi.shape != a_u.shape or a_phi.shape[0] != rhs.shape[0]:
-        raise ValueError("dynamics blocks and right-hand side do not line up")
-    h_top = np.hstack([a_phi, a_u])
-    if psi.shape[1] != h_top.shape[1]:
-        raise ValueError("boundary rows do not match the unknown count")
-    h = np.vstack([h_top, psi])
-    b = np.concatenate([rhs, np.zeros(psi.shape[0])])
-    return h, b
+    block = qp.grid.block_size
+    q = np.empty((2 * block, 2 * block))
+    _kron(qp.q_t, qp.q_y, q)
+    q *= qp.r1
+    u_diag = np.arange(block, 2 * block)
+    q[u_diag, u_diag] += qp.r2 * np.kron(qp.w_t, np.diagonal(qp.q_y))
+    return q
 
 
 def cost_summation(
@@ -547,22 +487,15 @@ def cost_summation(
     return total
 
 
-def recover_state(
-    z: np.ndarray,
-    grid: GridIndexMap,
-    op_t1: IntegrationOperator,
-    ocp: DiffusionOcp,
-    y_nodes: np.ndarray,
-) -> np.ndarray:
+def recover_state(z: np.ndarray, qp: DiscreteQp) -> np.ndarray:
     """Grid state from a solved unknown vector.
 
     Returns shape (N_y + 2, N_t + 1): rows 0..N_y are the interior space
     nodes, row N_y + 1 is the boundary y = 0.  Each entry integrates
     phi + u in time and adds the initial profile.
     """
-    phi, u = grid.fields(z)
-    f_vals = _profile(ocp, np.append(y_nodes, 0.0))
-    return (phi + u) @ op_t1.matrix.T + f_vals[:, None]
+    phi, u = qp.grid.fields(z)
+    return (phi + u) @ qp.p1.T + np.append(qp.f, qp.f0)[:, None]
 
 
 def build(ocp: DiffusionOcp, rule_y: QuadratureRule, rule_t: QuadratureRule) -> Transcription:

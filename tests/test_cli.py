@@ -158,7 +158,7 @@ class TestRunSingle:
 
     @pytest.mark.parametrize("n", [4, 12, 16])
     def test_cell_never_assembles_the_dense_program(self, monkeypatch, n):
-        """A cell solves through its elimination's factors: it assembles
+        """A cell solves through its program's factors: it assembles
         neither the dense constraints nor the dense cost."""
 
         def refuse(*args, **kwargs):

@@ -9,7 +9,6 @@ Lagrange basis, so their accuracy is checked entry by entry at round-off.
 
 from __future__ import annotations
 
-import csv
 import math
 import tracemalloc
 from fractions import Fraction
@@ -28,7 +27,6 @@ from gegopt.intmat import (
     first_order_matrix,
     full_interval_vector,
     higher_order_matrix,
-    dump_operator_csv,
     shift_matrix,
     standard_first_order_matrix,
 )
@@ -301,17 +299,6 @@ class TestFullIntervalVector:
             full_interval_vector(rule, length=2.0)
         row = full_interval_vector(rule, length=4.0)
         assert row.shape == (4,)
-
-
-class TestCsvDump:
-    def test_round_trip(self, tmp_path):
-        op = first_order_matrix(make_rule(degree=3))
-        path = tmp_path / "op.csv"
-        dump_operator_csv(op, path)
-        with path.open() as fh:
-            rows = [[float(v) for v in row] for row in csv.reader(fh)]
-        np.testing.assert_allclose(np.array(rows[:4]), op.matrix, rtol=1e-15)
-        np.testing.assert_allclose(np.array(rows[4]), op.full_interval_row, rtol=1e-15)
 
 
 @settings(deadline=None, max_examples=30)

@@ -36,22 +36,21 @@ def reference_qp(n: int, alpha: float = 0.0) -> DiscreteQp:
 
 
 def with_factors(tr: Transcription, **factors) -> DiscreteQp:
-    """The transcribed program with some factors of its elimination replaced."""
-    elim = dataclasses.replace(tr.elimination, **factors)
-    return dataclasses.replace(tr.qp, elimination=elim)
+    """The transcribed program with some of its factors replaced."""
+    return dataclasses.replace(tr.qp, **factors)
 
 
 class TestErrorPaths:
     def test_non_finite_input_rejected(self):
         tr = transcription(4, 4)
-        f = tr.elimination.f.copy()
+        f = tr.qp.f.copy()
         f[1] = np.nan
-        with pytest.raises(ValueError, match="non-finite entries in elimination factor f"):
+        with pytest.raises(ValueError, match="non-finite entries in program factor f"):
             solve(with_factors(tr, f=f))
 
     def test_asymmetric_cost_rejected(self):
         tr = transcription(4, 4)
-        q_t = tr.elimination.q_t.copy()
+        q_t = tr.qp.q_t.copy()
         q_t[0, 1] += 0.5 * np.abs(q_t).max()
         with pytest.raises(ValueError, match="cost factor q_t must be symmetric"):
             solve(with_factors(tr, q_t=q_t))
@@ -158,7 +157,7 @@ class TestGenericPath:
 
 
 class TestCondensedSolve:
-    """Transcribed programs are solved through their elimination: CG on the
+    """Transcribed programs are solved through their factors: CG on the
     condensed system reduced onto the null space of its flux rows,
     preconditioned by its control term."""
 
@@ -198,15 +197,15 @@ class TestCondensedSolve:
         """M^-1 (M x) = x for M = 2 r2 (K Z)' W (K Z), to within 1e-12 in
         normwise backward error.  The forward error is cond(M) times that,
         and cond(M) reaches 1e12 at alpha = 10 on this grid."""
-        elim = transcription(7, 9, alpha).elimination
-        z_y = qpsolve._NullSpace(elim).z_y
-        n_t = elim.grid.n_t + 1
-        k = np.kron(elim.d, elim.a) + np.kron(np.eye(n_t), elim._mismatch())
+        qp = transcription(7, 9, alpha).qp
+        z_y = qpsolve._NullSpace(qp).z_y
+        n_t = qp.grid.n_t + 1
+        k = np.kron(qp.d, qp.a) + np.kron(np.eye(n_t), qp._mismatch())
         kz = k @ np.kron(np.eye(n_t), z_y)
-        m = 2.0 * elim.r2 * kz.T @ (np.kron(elim.w_t, elim.w_y)[:, None] * kz)
+        m = 2.0 * qp.r2 * kz.T @ (np.kron(qp.w_t, qp.w_y)[:, None] * kz)
         x = rng.normal(size=m.shape[0])
         mx = m @ x
-        back = qpsolve._preconditioner(elim, z_y)(mx.reshape(n_t, -1)).ravel()
+        back = qpsolve._preconditioner(qp, z_y)(mx.reshape(n_t, -1)).ravel()
         norm = lambda v: np.linalg.norm(v, np.inf)
         eta = norm(m @ back - mx) / (norm(m) * norm(back) + norm(mx))
         assert eta <= 1e-12
@@ -221,8 +220,8 @@ class TestCondensedSolve:
     @pytest.mark.parametrize("alpha", [-0.4, -0.2, 0.0, 0.5, 0.9])
     @pytest.mark.parametrize("n", [4, 8, 12, 16])
     def test_agrees_with_generic_path(self, n, alpha):
-        """The solve through the program's elimination agrees with the
-        generic null-space elimination of its dense form."""
+        """The solve through the program's factors agrees with the generic
+        null-space elimination of its dense form."""
         tr = transcription(n, n, alpha)
         sol = solve(tr.qp)
         z_ref, lam_ref, j_ref = null_space_oracle(tr.qp)
@@ -236,17 +235,17 @@ class TestCondensedSolve:
         "broken, cause",
         [
             pytest.param(
-                lambda real: lambda elim, z_y: real(elim, 0.0 * z_y),
+                lambda real: lambda qp, z_y: real(qp, 0.0 * z_y),
                 "preconditioner setup failed",
                 id="singular",
             ),
             pytest.param(
-                lambda real: lambda elim, z_y: lambda r: r,
+                lambda real: lambda qp, z_y: lambda r: r,
                 "CG on the first solve is not finite",
                 id="ill-conditioned",
             ),
             pytest.param(
-                lambda real: lambda elim, z_y: lambda r: np.full_like(r, np.nan),
+                lambda real: lambda qp, z_y: lambda r: np.full_like(r, np.nan),
                 "CG on the first solve is not finite",
                 id="not-finite",
             ),

@@ -8,6 +8,8 @@ integration matrices are exact on polynomials up to the grid degree.
 
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,7 +30,6 @@ from gegopt.transcribe import (
     assemble_cost,
     assemble_dynamics,
     build,
-    combine,
     cost_summation,
     recover_state,
     state_map,
@@ -55,6 +56,20 @@ def fill_grid(grid: GridIndexMap, t_nodes, y_aug, phi_f, u_f) -> np.ndarray:
         z[grid.index(rows, j)] = phi_f(y_aug, t)
         z[grid.block_size + grid.index(rows, j)] = u_f(y_aug, t)
     return z
+
+
+def dynamics_rows(qp) -> np.ndarray:
+    """The dynamics rows of H, as `assemble_dynamics` writes them."""
+    rows = np.zeros(((qp.grid.n_y + 1) * (qp.grid.n_t + 1), qp.grid.n_unknowns))
+    assemble_dynamics(qp, rows)
+    return rows
+
+
+def flux_rows(qp) -> np.ndarray:
+    """The flux rows of H, as `assemble_boundary` writes them."""
+    rows = np.zeros((qp.grid.n_t + 1, qp.grid.n_unknowns))
+    assemble_boundary(qp, rows)
+    return rows
 
 
 def interior_positions(grid: GridIndexMap) -> np.ndarray:
@@ -130,49 +145,51 @@ class TestDynamicsAssembly:
         tr = make_transcription(n_y=3, n_t=2)
         y = tr.rule_y.nodes
         expected = np.tile(1.0 + y - 1.0, tr.grid.n_t + 1)  # f(y) - f(0) = y
-        _, _, rhs = assemble_dynamics(tr.ocp, tr.grid, tr.op_y2, tr.op_t1)
+        rhs = tr.qp.b[: expected.size]
         np.testing.assert_allclose(rhs, expected, atol=1e-14)
 
     def test_constant_profile_gives_zero_rhs(self):
         tr = make_transcription(n_y=3, n_t=2, f=lambda y: 7.0)
-        _, _, rhs = assemble_dynamics(tr.ocp, tr.grid, tr.op_y2, tr.op_t1)
-        np.testing.assert_array_equal(rhs, np.zeros(rhs.size))
+        np.testing.assert_array_equal(tr.qp.b, np.zeros(tr.qp.b.size))
 
     def test_shapes(self):
         tr = make_transcription(n_y=4, n_t=3)
-        a_phi, a_u, rhs = assemble_dynamics(tr.ocp, tr.grid, tr.op_y2, tr.op_t1)
+        qp = tr.qp
         rows = (tr.grid.n_y + 1) * (tr.grid.n_t + 1)
-        assert a_phi.shape == (rows, tr.grid.block_size)
-        assert a_u.shape == (rows, tr.grid.block_size)
-        assert rhs.shape == (rows,)
+        dyn = dynamics_rows(qp)
+        assert dyn.shape == (rows, tr.grid.n_unknowns)
+        assert_same_bits(dyn, qp.H[:rows])
+        assert qp.b.shape == (rows + tr.grid.n_t + 1,)
 
     def test_operator_validation(self):
+        """A transcription checks each operator's order, size and interval
+        when it is made, so the program its assemblers take is sound."""
         tr = make_transcription(n_y=4, n_t=3)
         with pytest.raises(ValueError):
-            assemble_dynamics(tr.ocp, tr.grid, tr.op_y1, tr.op_t1)  # wrong order
+            replace(tr, op_y2=tr.op_y1)  # wrong order
         wrong_size = higher_order_matrix(
             first_order_matrix(sgg_rule(BasisSpec(alpha=0.0, length=L, degree=7))), 2
         )
         with pytest.raises(ValueError):
-            assemble_dynamics(tr.ocp, tr.grid, wrong_size, tr.op_t1)
+            replace(tr, op_y2=wrong_size)
         wrong_interval = higher_order_matrix(
             first_order_matrix(sgg_rule(BasisSpec(alpha=0.0, length=2.0, degree=4))), 2
         )
         with pytest.raises(ValueError):
-            assemble_dynamics(tr.ocp, tr.grid, wrong_interval, tr.op_t1)
+            replace(tr, op_y2=wrong_interval)
 
 
 class TestBoundaryRows:
     def test_rows_integrate_constants_to_length(self):
         tr = make_transcription(n_y=5, n_t=3)
-        psi = assemble_boundary(tr.grid, tr.op_y1.full_interval_row)
+        psi = flux_rows(tr.qp)
         z = np.zeros(tr.grid.n_unknowns)
         z[interior_positions(tr.grid)] = 1.0
         np.testing.assert_allclose(psi @ z, np.full(tr.grid.n_t + 1, L), atol=1e-12)
 
     def test_rows_annihilate_odd_profiles(self):
         tr = make_transcription(n_y=6, n_t=3)
-        psi = assemble_boundary(tr.grid, tr.op_y1.full_interval_row)
+        psi = flux_rows(tr.qp)
         z = np.zeros(tr.grid.n_unknowns)
         phi_interior = np.tile(tr.rule_y.nodes - L / 2.0, tr.grid.n_t + 1)
         z[interior_positions(tr.grid)] = phi_interior
@@ -180,16 +197,10 @@ class TestBoundaryRows:
 
     def test_rows_touch_only_interior_phi_columns(self):
         tr = make_transcription(n_y=4, n_t=2)
-        psi = assemble_boundary(tr.grid, tr.op_y1.full_interval_row)
+        psi = flux_rows(tr.qp)
         assert np.all(psi[:, tr.grid.block_size :] == 0.0)  # u block untouched
         for j in range(tr.grid.n_t + 1):
             assert np.all(psi[:, tr.grid.index(tr.grid.n_y + 1, j)] == 0.0)
-
-    def test_row_shape_validated(self):
-        grid = GridIndexMap(4, 2)
-        with pytest.raises(ValueError):
-            assemble_boundary(grid, np.ones(3))
-
 
 class TestCostForm:
     def test_constant_term_is_weighted_initial_energy(self):
@@ -247,9 +258,7 @@ class TestCostForm:
 class TestStateRecovery:
     def test_zero_unknowns_return_initial_profile(self):
         tr = make_transcription(n_y=3, n_t=2)
-        x = recover_state(
-            np.zeros(tr.grid.n_unknowns), tr.grid, tr.op_t1, tr.ocp, tr.rule_y.nodes
-        )
+        x = recover_state(np.zeros(tr.grid.n_unknowns), tr.qp)
         y_aug = np.append(tr.rule_y.nodes, 0.0)
         np.testing.assert_allclose(x, (1.0 + y_aug)[:, None] * np.ones((1, 3)), atol=1e-14)
 
@@ -262,7 +271,7 @@ class TestStateRecovery:
             lambda y, t: np.ones_like(y),
             lambda y, t: np.zeros_like(y),
         )
-        x = recover_state(z, tr.grid, tr.op_t1, tr.ocp, tr.rule_y.nodes)
+        x = recover_state(z, tr.qp)
         y_aug = np.append(tr.rule_y.nodes, 0.0)
         expected = (1.0 + y_aug)[:, None] + tr.rule_t.nodes[None, :]
         np.testing.assert_allclose(x, expected, atol=1e-12)
@@ -270,9 +279,9 @@ class TestStateRecovery:
     def test_matches_affine_state_map(self, rng):
         tr = make_transcription(n_y=4, n_t=3)
         z = rng.normal(size=tr.grid.n_unknowns)
-        m, fbar = state_map(tr.ocp, tr.grid, tr.rule_y.nodes, tr.op_t1)
+        m, fbar = state_map(tr.qp)
         via_map = m @ z + fbar
-        x = recover_state(z, tr.grid, tr.op_t1, tr.ocp, tr.rule_y.nodes)
+        x = recover_state(z, tr.qp)
         via_grid = x[: tr.grid.n_y + 1, :].T.ravel()  # time-major, space fastest
         np.testing.assert_allclose(via_map, via_grid, atol=1e-12)
 
@@ -308,14 +317,17 @@ class TestBuildPipeline:
         with pytest.raises(ValueError):
             build(make_ocp(), rule_y, rule_t)
 
-    def test_combine_validates_alignment(self):
-        tr = make_transcription(n_y=3, n_t=2)
-        a_phi, a_u, rhs = assemble_dynamics(tr.ocp, tr.grid, tr.op_y2, tr.op_t1)
-        psi = assemble_boundary(tr.grid, tr.op_y1.full_interval_row)
-        with pytest.raises(ValueError):
-            combine(a_phi, a_u[:, :-1], psi, rhs)
-        with pytest.raises(ValueError):
-            combine(a_phi, a_u, psi[:, :-1], rhs)
+    def test_reading_h_holds_one_copy(self):
+        """H is written straight into one array: reading it at N = 32 peaks
+        at H itself plus 10%."""
+        qp = make_transcription(n_y=32, n_t=32, alpha=0.0).qp
+        tracemalloc.start()
+        try:
+            h = qp.H
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * h.nbytes, f"peak {peak / h.nbytes:.2f} x H.nbytes"
 
 
 class TestProblemValidation:
@@ -380,6 +392,14 @@ def loop_boundary(grid, full_row_y):
     return psi
 
 
+def loop_constraints(ocp, grid, op_y2, op_t1, full_row_y):
+    """H and b stacked from the loop-built dynamics and boundary rows."""
+    a_phi, a_u, rhs = loop_dynamics(ocp, grid, op_y2, op_t1)
+    psi = loop_boundary(grid, full_row_y)
+    h = np.vstack([np.hstack([a_phi, a_u]), psi])
+    return h, np.concatenate([rhs, np.zeros(psi.shape[0])])
+
+
 def loop_state_map(ocp, grid, y_nodes, op_t1):
     n_y, n_t = grid.n_y, grid.n_t
     p1 = op_t1.matrix
@@ -431,39 +451,37 @@ def assert_same_bits(a, b):
 
 
 class TestLoopReference:
-    """The Kronecker assemblers reproduce the loop assemblers: H, b, M, fbar,
-    c and j0 bit for bit; Q, whose products are summed in another order, to
-    1e-15 of its scale, and exactly symmetric."""
+    """The program reproduces the loop assemblers: H, b, M, fbar and j0 bit
+    for bit; c, a matrix product of the factors, and Q, whose products are
+    summed in another order, to 1e-15 of their scale, and Q exactly
+    symmetric."""
 
     @pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.5])
     @pytest.mark.parametrize("n_y, n_t", [(1, 1), (3, 5), (5, 3), (8, 8)])
     def test_matches_loop_assembly(self, n_y, n_t, alpha):
         f = lambda y: 1.0 + y - 0.3 * y**2
         tr = make_transcription(n_y=n_y, n_t=n_t, alpha=alpha, f=f)
-        ocp, grid, y = tr.ocp, tr.grid, tr.rule_y.nodes
+        ocp, grid, y, qp = tr.ocp, tr.grid, tr.rule_y.nodes, tr.qp
         w_y, w_t = tr.op_y1.full_interval_row, tr.op_t1.full_interval_row
-        a_phi, a_u, rhs = loop_dynamics(ocp, grid, tr.op_y2, tr.op_t1)
-        h, b = combine(a_phi, a_u, loop_boundary(grid, w_y), rhs)
-        assert_same_bits(tr.qp.H, h)
-        assert_same_bits(tr.qp.b, b)
-        for new, old in zip(state_map(ocp, grid, y, tr.op_t1),
-                            loop_state_map(ocp, grid, y, tr.op_t1)):
+        h, b = loop_constraints(ocp, grid, tr.op_y2, tr.op_t1, w_y)
+        assert_same_bits(qp.H, h)
+        assert_same_bits(qp.b, b)
+        for new, old in zip(state_map(qp), loop_state_map(ocp, grid, y, tr.op_t1)):
             assert_same_bits(new, old)
         q, c, j0 = loop_cost(ocp, grid, y, tr.op_t1, w_y, w_t)
-        assert_same_bits(tr.qp.c, c)
-        assert_same_bits(tr.qp.j0, j0)
-        assert np.abs(tr.qp.Q - q).max() <= 1e-15 * np.abs(q).max()
-        assert np.array_equal(tr.qp.Q, tr.qp.Q.T)
+        assert np.abs(qp.c - c).max() <= 1e-15 * np.abs(c).max()
+        assert_same_bits(qp.j0, j0)
+        assert np.abs(qp.Q - q).max() <= 1e-15 * np.abs(q).max()
+        assert np.array_equal(qp.Q, qp.Q.T)
 
     @pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.5])
     def test_solution_matches_loop_program(self, alpha):
-        """The solver, through the program's elimination, against the
+        """The solver, through the program's factors, against the
         null-space oracle on the loop-built dense program."""
         tr = make_transcription(n_y=6, n_t=6, alpha=alpha)
         ocp, grid, y = tr.ocp, tr.grid, tr.rule_y.nodes
         w_y, w_t = tr.op_y1.full_interval_row, tr.op_t1.full_interval_row
-        a_phi, a_u, rhs = loop_dynamics(ocp, grid, tr.op_y2, tr.op_t1)
-        h, b = combine(a_phi, a_u, loop_boundary(grid, w_y), rhs)
+        h, b = loop_constraints(ocp, grid, tr.op_y2, tr.op_t1, w_y)
         q, c, j0 = loop_cost(ocp, grid, y, tr.op_t1, w_y, w_t)
         new = solve(tr.qp)
         z, _, j = null_space_oracle(SimpleNamespace(H=h, b=b, Q=q, c=c, j0=j0))
@@ -473,26 +491,21 @@ class TestLoopReference:
 
 
 class TestFactoredProgram:
-    """The elimination's factors reproduce the dense program: b and j0 bit
-    for bit, c and the products with Q, H, H' and the condensed Hessian to
-    round-off."""
+    """The program's matrix-free products with Q, H, H' and the condensed
+    Hessian reproduce its dense Kronecker expansions to round-off."""
 
     @pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.5])
     @pytest.mark.parametrize("n_y, n_t", [(1, 1), (3, 5), (5, 3), (8, 8)])
     def test_matches_dense_program(self, n_y, n_t, alpha, rng):
         f = lambda y: 1.0 + y - 0.3 * y**2
-        tr = make_transcription(n_y=n_y, n_t=n_t, alpha=alpha, f=f)
-        qp, elim = tr.qp, tr.elimination
-        assert_same_bits(elim.b, qp.b)
-        assert_same_bits(elim.j0, qp.j0)
-        assert np.abs(elim.c - qp.c).max() <= 1e-15 * np.abs(qp.c).max()
-        z = rng.normal(size=tr.grid.n_unknowns)
+        qp = make_transcription(n_y=n_y, n_t=n_t, alpha=alpha, f=f).qp
+        z = rng.normal(size=qp.grid.n_unknowns)
         lam = rng.normal(size=qp.H.shape[0])
         for got, want in (
-            (elim.q_mul(z), qp.Q @ z),
-            (elim.h_mul(z), qp.H @ z),
-            (elim.h_terms(z), np.abs(qp.H) @ np.abs(z)),
-            (elim.ht_mul(lam), qp.H.T @ lam),
+            (qp.q_mul(z), qp.Q @ z),
+            (qp.h_mul(z), qp.H @ z),
+            (qp.h_terms(z), np.abs(qp.H) @ np.abs(z)),
+            (qp.ht_mul(lam), qp.H.T @ lam),
         ):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -502,7 +515,7 @@ class TestFactoredProgram:
         tr = make_transcription(n_y=3, n_t=3)
         qp = tr.qp
         calls = record_calls(monkeypatch, "assemble_dynamics", "assemble_cost")
-        assert qp.elimination is not None and not calls
+        assert not calls
         assert qp.Q.shape == (tr.grid.n_unknowns,) * 2
         assert_same_bits(qp.H, tr.qp.H)
         assert qp.Q is qp.Q and qp.H is qp.H
@@ -510,18 +523,19 @@ class TestFactoredProgram:
 
     @pytest.mark.parametrize("first", ["H", "b", "Q", "c", "j0"])
     def test_dense_parts_assembled_by_group_on_read(self, monkeypatch, first):
-        """Reading H or b assembles the constraints alone, neither the cost
-        nor its state map; reading Q, c or j0 assembles the cost alone.  Each
-        group is assembled once per instance."""
-        groups = {
-            ("H", "b"): ["assemble_dynamics", "assemble_boundary"],
-            ("Q", "c", "j0"): ["assemble_cost", "state_map"],
+        """Reading H assembles the constraint rows alone and reading Q the
+        cost alone; b, c and j0 are products of the factors and assemble
+        nothing, and nothing forms the state map.  Each dense part is
+        assembled once per instance."""
+        assemblers = {
+            "H": ["combine", "assemble_dynamics", "assemble_boundary"],
+            "Q": ["assemble_cost"],
         }
-        every = [n for names in groups.values() for n in names]
-        calls = record_calls(monkeypatch, *every)
+        every = [name for names in assemblers.values() for name in names]
+        calls = record_calls(monkeypatch, *every, "state_map")
         qp = make_transcription(n_y=4, n_t=3).qp
         getattr(qp, first)
-        assert calls == next(names for group, names in groups.items() if first in group)
+        assert calls == assemblers.get(first, [])
         for name in ("H", "b", "Q", "c", "j0"):
             getattr(qp, name)
         assert sorted(calls) == sorted(every)
@@ -532,20 +546,20 @@ class TestFactoredProgram:
         """The matrix-free condensed Hessian, 2 Qc zeta, and the flux rows
         reproduce the product with the condensed saddle matrix summed from
         np.kron products plus its transpose."""
-        elim = make_transcription(n_y=n, n_t=n, alpha=alpha).elimination
-        a, c = elim.a, elim._mismatch()
+        qp = make_transcription(n_y=n, n_t=n, alpha=alpha).qp
+        a, c = qp.a, qp._mismatch()
         b = c + np.eye(n + 1, n + 2)
-        d, p1, w_t = elim.d, elim.p1, elim.w_t
+        d, p1, w_t = qp.d, qp.p1, qp.w_t
 
         def gram(x, y):
-            return x.T @ (elim.w_y[:, None] * y)
+            return x.T @ (qp.w_y[:, None] * y)
 
         terms = (
-            (elim.r1 * np.diag(w_t) + elim.r2 * d.T @ (w_t[:, None] * d), gram(a, a)),
-            (elim.r1 * p1.T @ (w_t[:, None] * p1), gram(b, b)),
-            (elim.r2 * np.diag(w_t), gram(c, c)),
-            (2.0 * elim.r1 * (w_t[:, None] * p1), gram(a, b)),
-            (2.0 * elim.r2 * (d.T * w_t), gram(a, c)),
+            (qp.r1 * np.diag(w_t) + qp.r2 * d.T @ (w_t[:, None] * d), gram(a, a)),
+            (qp.r1 * p1.T @ (w_t[:, None] * p1), gram(b, b)),
+            (qp.r2 * np.diag(w_t), gram(c, c)),
+            (2.0 * qp.r1 * (w_t[:, None] * p1), gram(a, b)),
+            (2.0 * qp.r2 * (d.T * w_t), gram(a, c)),
         )
         size = (n + 1) * (n + 2)
         kkt = np.zeros((size + n + 1,) * 2)
@@ -553,12 +567,12 @@ class TestFactoredProgram:
         for t, s_ in terms:
             hess += np.kron(t, s_)
         hess += hess.T
-        flux = np.kron(np.eye(n + 1), np.append(elim.w_y, 0.0))
+        flux = np.kron(np.eye(n + 1), np.append(qp.w_y, 0.0))
         kkt[size:, :size] = flux
         kkt[:size, size:] = flux.T
         zeta, mu = rng.normal(size=size), rng.normal(size=n + 1)
         want = kkt @ np.concatenate([zeta, mu])
-        got = 2.0 * elim.qc_mul(zeta) + np.outer(mu, np.append(elim.w_y, 0.0))
+        got = 2.0 * qp.qc_mul(zeta) + np.outer(mu, np.append(qp.w_y, 0.0))
         assert np.abs(got.ravel() - want[:size]).max() <= 1e-14 * np.abs(want[:size]).max()
-        flux_rows = zeta.reshape(n + 1, n + 2)[:, :-1] @ elim.w_y
-        assert np.abs(flux_rows - want[size:]).max() <= 1e-14 * np.abs(want[size:]).max()
+        flux = zeta.reshape(n + 1, n + 2)[:, :-1] @ qp.w_y
+        assert np.abs(flux - want[size:]).max() <= 1e-14 * np.abs(want[size:]).max()
