@@ -11,8 +11,8 @@ equality-constrained quadratic program.  See the individual modules:
 - intmat:     running-integral operators of arbitrary order
 - transcribe: the diffusion control problem as a QP held by its Kronecker
               factors (`DiscreteQp`)
-- qpsolve:    the matrix-free solver of the condensed saddle system, which
-              reads only those factors
+- qpsolve:    the matrix-free solver, which condenses the program through
+              those factors and solves the condensed saddle system
 - bounds:     a-priori error bounds and decay shapes
 - cli:        the experiment runner (`gegopt` console script)
 """

@@ -158,31 +158,6 @@ def uniform_sup_error_bound(inputs: BoundInputs, x: float, q: int | None = None)
     return float(np.exp(log_val))
 
 
-def _log_temporal_part(inputs_t: BoundInputs, t: float) -> float:
-    spec = inputs_t.spec
-    n, alpha, horizon = spec.degree, spec.alpha, spec.length
-    return (
-        -2 * n * _LOG2
-        + _log_or_zero(inputs_t.deriv_sup)
-        + (n + 1) * math.log(horizon)
-        + _log_or_zero(t)
-        + _log_degree_factor(alpha, n)
-    )
-
-
-def _log_spatial_part(inputs_y: BoundInputs, y: float) -> float:
-    spec = inputs_y.spec
-    n, alpha, length = spec.degree, spec.alpha, spec.length
-    return (
-        (1 - n) * _LOG2
-        + _log_or_zero(inputs_y.deriv_sup)
-        + _log_or_zero(inputs_y.leibniz_sup)
-        + _log_or_zero(y)
-        + (n + 1) * math.log(length)
-        + _log_degree_factor(alpha, n)
-    )
-
-
 def dynamics_residual_bound(
     inputs_y: BoundInputs, inputs_t: BoundInputs, y: float, t: float
 ) -> float:
@@ -196,13 +171,8 @@ def dynamics_residual_bound(
     alpha = inputs_y.spec.alpha
     if abs(alpha - inputs_t.spec.alpha) > 1e-14:
         raise ValueError("space and time rules must share the family parameter")
-    _check_point(y, inputs_y.spec.length)
-    _check_point(t, inputs_t.spec.length)
-    log_front = math.lgamma(alpha + 1.0) - _LOG2 - math.lgamma(2.0 * alpha + 1.0)
     with np.errstate(over="ignore"):
-        eps1 = np.exp(_log_temporal_part(inputs_t, t))
-        eps2 = np.exp(_log_spatial_part(inputs_y, y))
-        return float(np.exp(log_front) * (eps1 + eps2))
+        return uniform_sup_error_bound(inputs_y, y, q=1) + first_order_error_bound(inputs_t, t)
 
 
 def asymptotic_shape(n: int, length: float, x: float, alpha: float, q: int = 1) -> float:

@@ -396,12 +396,12 @@ def _build_parser() -> _Parser:
         prog="gegopt",
         description="Spectral solver for diffusion optimal control; writes CSV reports.",
     )
-    parser.add_argument("--L", type=float, default=4.0, help="domain length")
-    parser.add_argument("--tf", type=float, default=1.0, help="time horizon")
-    parser.add_argument("--r1", type=float, default=0.5, help="state cost weight")
-    parser.add_argument("--r2", type=float, default=0.5, help="control cost weight")
+    parser.add_argument("--L", type=float, default=RunConfig.length, help="domain length")
+    parser.add_argument("--tf", type=float, default=RunConfig.t_final, help="time horizon")
+    parser.add_argument("--r1", type=float, default=RunConfig.r1, help="state cost weight")
+    parser.add_argument("--r2", type=float, default=RunConfig.r2, help="control cost weight")
     parser.add_argument(
-        "--f", default="affine:1,1", help="initial profile: affine:a,b or poly:c0,c1,..."
+        "--f", default=RunConfig.f_spec, help="initial profile: affine:a,b or poly:c0,c1,..."
     )
     parser.add_argument(
         "--Ny", action="append", default=None,
@@ -419,7 +419,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--sweep", action="store_true", help="allow multi-cell runs")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
     parser.add_argument(
-        "--eval-grid", type=int, default=101,
+        "--eval-grid", type=int, default=RunConfig.eval_grid,
         help="uniform samples per axis for scores and profiles",
     )
     parser.add_argument(
@@ -439,9 +439,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             r1=args.r1,
             r2=args.r2,
             f_spec=args.f,
-            n_y=_collect(args.Ny, int) or (8,),
+            n_y=_collect(args.Ny, int) or RunConfig.n_y,
             n_t=_collect(args.Nt, int),
-            alphas=_collect(args.alpha, float) or (0.0,),
+            alphas=_collect(args.alpha, float) or RunConfig.alphas,
             sweep=args.sweep,
             out=args.out,
             eval_grid=args.eval_grid,

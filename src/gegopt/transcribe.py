@@ -29,17 +29,13 @@ r1 x^2 + r2 u^2, J(Z) = Z' Q Z + c' Z + j0, with a literal nested summation
 kept as a cross-check oracle.
 
 `Transcription.qp` is the one program type, `DiscreteQp`, and it holds only
-those time and space factors.  The solver condenses the program through them:
-the dynamics rows solved for the interior control, D = P1^-1 applied in
-time, leave (N_y + 2)(N_t + 1) unknowns (the interior phi values and the sum
-phi + u at y = 0) under the N_t + 1 flux rows, and the condensed Hessian is
-a sum of Kronecker products of the same factors, applied matrix-free.  b, c,
-j0 and the products with Q, H and H' are (N_t + 1) x (N_y + 2) matrix
-products of them, so `build` and the solver form no array of O(N^4)
-entries.  The dense H and Q are the Kronecker expansions of the factors,
-each written straight into one array the first time it is read (by the
-matrix dumps, the benchmark's feasibility check and the tests, which keep
-them as the reference).
+those time and space factors.  b, c, j0 and the products with Q, H and H'
+are (N_t + 1) x (N_y + 2) matrix products of them, so `build` forms no array
+of O(N^4) entries; the solver condenses the program through the same
+factors (`qpsolve`).  The dense H and Q are the Kronecker expansions of the
+factors, each written straight into one array the first time it is read (by
+the matrix dumps, the benchmark's feasibility check and the tests, which
+keep them as the reference).
 """
 
 from __future__ import annotations
@@ -124,10 +120,15 @@ class GridIndexMap:
         """Flat position of grid point (space i, time j) within a block."""
         return np.asarray(i) + np.asarray(j) * (self.n_y + 2)
 
+    def blocks(self, z: np.ndarray) -> np.ndarray:
+        """The (phi, u) blocks of an unknown vector as one view of shape
+        (2, N_t + 1, N_y + 2), time-major."""
+        return np.reshape(z, (2, self.n_t + 1, self.n_y + 2))
+
     def fields(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(phi, u) of an unknown vector, each of shape (N_y + 2, N_t + 1):
         rows 0..N_y are the interior space nodes, row N_y + 1 is y = 0."""
-        phi, u = np.reshape(z, (2, self.n_t + 1, self.n_y + 2)).transpose(0, 2, 1)
+        phi, u = self.blocks(z).transpose(0, 2, 1)
         return phi, u
 
 
@@ -136,39 +137,21 @@ class DiscreteQp:
     """Equality-constrained QP, minimize Z' Q Z + c' Z + j0 over H Z = b,
     held as the Kronecker factors of the transcription.
 
-    The solver condenses it onto the free data of the state.  The condensed
-    unknowns zeta form one (N_t + 1) x (N_y + 2) time-major block: slots
-    0..N_y hold the interior phi values E phi, slot N_y + 1 holds
-    v = phi_b + u_b, the sum through which alone the y = 0 values enter the
-    program.  On the dynamics rows H_d Z = r the state and the interior
-    control are affine in zeta, through integration matrices only:
-
-        x  = fbar - r + G zeta,        G = I_t (x) A + P1 (x) B,
-        Eu = K zeta - (D (x) I) r,     K = D (x) A + I_t (x) C,
-
-    with A = P2 E, B = 1 e_b', C = B - E and D = P1^-1; for the transcribed
-    r = f(y_i) - f(0) the state is x = f(0) + G zeta.  phi_b and u_b each
-    take v / 2, the minimum-norm split, so the N_t + 1 null directions that
-    split v are stated (`eliminated`), not discovered.  The condensed
-    Hessian Qc = r1 G' W G + r2 K' W K, W = W_t (x) W_y, is a sum of eight
-    Kronecker products, each an (N_t + 1)^2 time factor times an
-    (N_y + 2)^2 space factor, and the only constraints left are the N_t + 1
-    flux rows F = I_t (x) w_y' E on zeta.
-
-    The full program is held as factors too: Q = r1 [1 1; 1 1] (x) q_t (x)
-    q_y plus r2 W on the interior u values, and f holds the initial profile
-    at the interior space nodes, f0 its value at y = 0.  `b`, `c`, `j0` and
-    the products with Q, H, H' and Qc are (N_t + 1) x (N_y + 2) matrix
-    products of these factors.  The dense `H` (`combine`) and `Q`
-    (`assemble_cost`) are their Kronecker expansions, formed the first time
-    each is read and kept by this instance alone; the solver reads neither.
+    With A = P2 E and C = 1 e_b' - E (`mismatch`), the dynamics rows of H
+    are [I_t (x) A + P1 (x) C, P1 (x) C] and its flux rows I_t (x) w_y' E on
+    the phi block; Q = r1 [1 1; 1 1] (x) q_t (x) q_y plus r2 W on the
+    interior u values, W = W_t (x) W_y.  f holds the initial profile at the
+    interior space nodes, f0 its value at y = 0.  `b`, `c`, `j0` and the
+    products with Q, H and H' are (N_t + 1) x (N_y + 2) matrix products of
+    these factors.  The dense `H` (`combine`) and `Q` (`assemble_cost`) are
+    their Kronecker expansions, formed the first time each is read and kept
+    by this instance alone; the solver reads neither.
     """
 
     grid: GridIndexMap
     r1: float
     r2: float
     p1: np.ndarray
-    d: np.ndarray
     a: np.ndarray
     w_t: np.ndarray
     w_y: np.ndarray
@@ -177,40 +160,12 @@ class DiscreteQp:
     f: np.ndarray
     f0: float
 
-    @property
-    def eliminated(self) -> int:
-        """Null directions of the full saddle matrix: one split per time node."""
-        return self.grid.n_t + 1
-
-    def _mismatch(self) -> np.ndarray:
-        """C = 1 e_b' - E, the boundary-minus-local space factor."""
+    @cached_property
+    def mismatch(self) -> np.ndarray:
+        """C = 1 e_b' - E, the boundary-minus-local space factor of H."""
         c = -_interior(self.grid)
         c[:, -1] = 1.0
         return c
-
-    def _blocks(self, z: np.ndarray) -> np.ndarray:
-        """Z as its (phi, u) blocks, each (N_t + 1) x (N_y + 2) time-major."""
-        return np.reshape(z, (2, self.grid.n_t + 1, self.grid.n_y + 2))
-
-    def _lift(self, zeta: np.ndarray, r: np.ndarray | float) -> np.ndarray:
-        """Full unknown vector Z of zeta on the dynamics rows H_d Z = r."""
-        zeta = zeta.reshape(self.grid.n_t + 1, self.grid.n_y + 2)
-        phi = zeta.copy()
-        phi[:, -1] *= 0.5
-        u = np.empty_like(phi)
-        u[:, :-1] = self.d @ (zeta @ self.a.T - r) + zeta @ self._mismatch().T
-        u[:, -1] = phi[:, -1]
-        return np.concatenate([phi.ravel(), u.ravel()])
-
-    def _pull(self, g: np.ndarray) -> np.ndarray:
-        """T' g: a gradient in Z taken to zeta by the adjoint of the linear
-        part of `_lift`."""
-        phi, u = self._blocks(g)
-        out = phi.copy()
-        out[:, -1] = 0.5 * (phi[:, -1] + u[:, -1])
-        u_int = u[:, :-1]
-        out += self.d.T @ u_int @ self.a + u_int @ self._mismatch()
-        return out.ravel()
 
     @cached_property
     def b(self) -> np.ndarray:
@@ -239,23 +194,23 @@ class DiscreteQp:
 
     def q_mul(self, z: np.ndarray) -> np.ndarray:
         """Q Z."""
-        phi, u = self._blocks(z)
+        phi, u = self.grid.blocks(z)
         state = self.r1 * (self.q_t @ (phi + u) @ self.q_y)
         control = state + self.r2 * (self.w_t[:, None] * np.append(self.w_y, 0.0)) * u
         return np.concatenate([state.ravel(), control.ravel()])
 
     def h_mul(self, z: np.ndarray) -> np.ndarray:
         """H Z: the dynamics rows, then the flux rows."""
-        phi, u = self._blocks(z)
-        dyn = phi @ self.a.T + self.p1 @ ((phi + u) @ self._mismatch().T)
+        phi, u = self.grid.blocks(z)
+        dyn = phi @ self.a.T + self.p1 @ ((phi + u) @ self.mismatch.T)
         return np.concatenate([dyn.ravel(), phi[:, :-1] @ self.w_y])
 
     def h_terms(self, z: np.ndarray) -> np.ndarray:
         """|H| |Z|, the magnitude of the terms H Z sums: the scale of its
         round-off, which H Z itself does not give when it cancels to b = 0
         (a constant initial profile)."""
-        phi, u = np.abs(self._blocks(z))
-        mismatch = np.abs(self._mismatch())
+        phi, u = np.abs(self.grid.blocks(z))
+        mismatch = np.abs(self.mismatch)
         dyn = phi @ np.abs(self.a.T) + np.abs(self.p1) @ ((phi + u) @ mismatch.T)
         return np.concatenate([dyn.ravel(), phi[:, :-1] @ np.abs(self.w_y)])
 
@@ -263,51 +218,10 @@ class DiscreteQp:
         """H' lambda, lambda = [dynamics multipliers; flux multipliers]."""
         n_t = self.grid.n_t + 1
         lam_d = lam[: -n_t].reshape(n_t, self.grid.n_y + 1)
-        u = self.p1.T @ lam_d @ self._mismatch()
+        u = self.p1.T @ lam_d @ self.mismatch
         phi = lam_d @ self.a + u
         phi[:, :-1] += lam[-n_t:, None] * self.w_y
         return np.concatenate([phi.ravel(), u.ravel()])
-
-    def qc_mul(self, zeta: np.ndarray) -> np.ndarray:
-        """Qc zeta, the condensed Hessian r1 G' W G + r2 K' W K applied as
-        (N_t + 1) x (N_y + 2) matrix products: G zeta = zeta A' + P1 zeta B',
-        K zeta = D zeta A' + zeta C', G' chi = chi A + P1' chi B and
-        K' chi = D' chi A + chi C, with W = w_t w_y' entrywise.  B = 1 e_b'
-        reads only the y = 0 slot v of zeta and writes only that slot of
-        G' chi."""
-        zeta = zeta.reshape(self.grid.n_t + 1, self.grid.n_y + 2)
-        w = self.w_t[:, None] * self.w_y
-        za, v = zeta @ self.a.T, zeta[:, -1:]
-        state = self.r1 * w * (za + self.p1 @ v)
-        control = self.r2 * w * (self.d @ za + v - zeta[:, :-1])
-        out = (state + self.d.T @ control) @ self.a
-        out[:, :-1] -= control
-        out[:, -1] += self.p1.T @ state.sum(axis=1) + control.sum(axis=1)
-        return out
-
-    def rhs(self, c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(z_p, r) for minimizing Z' Q Z + c' Z over H Z = b: z_p solves the
-        dynamics rows with zeta = 0, and r = [-T' (2 Q z_p + c); b_flux] is
-        the condensed right-hand side."""
-        n_dyn = (self.grid.n_t + 1) * (self.grid.n_y + 1)
-        zeta = np.zeros((self.grid.n_t + 1) * (self.grid.n_y + 2))
-        z_p = self._lift(zeta, b[:n_dyn].reshape(self.grid.n_t + 1, -1))
-        grad = self._pull(2.0 * self.q_mul(z_p) + c)
-        return z_p, np.concatenate([-grad, b[n_dyn:]])
-
-    def expand(
-        self, c: np.ndarray, z_p: np.ndarray, x: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(Z, lambda) from a condensed solution x = [zeta; flux multipliers].
-
-        The dynamics multipliers follow from the stationarity rows of the
-        interior control, (2 Q Z + c)_Eu = (P1' (x) I) lambda_d: one P1'
-        solve."""
-        n = (self.grid.n_t + 1) * (self.grid.n_y + 2)
-        z = z_p + self._lift(x[:n], 0.0)
-        g = self._blocks(2.0 * self.q_mul(z) + c)
-        lam_d = np.linalg.solve(self.p1.T, g[1, :, :-1])
-        return z, np.concatenate([lam_d.ravel(), x[n:]])
 
     @cached_property
     def H(self) -> np.ndarray:
@@ -349,10 +263,9 @@ class Transcription:
         w_y, w_t = self.op_y1.full_interval_row, self.op_t1.full_interval_row
         gram_t = p1.T @ (w_t[:, None] * p1)
         return DiscreteQp(
-            grid=self.grid, r1=self.ocp.r1, r2=self.ocp.r2, p1=p1, d=np.linalg.inv(p1),
-            a=self.op_y2.matrix @ e, w_t=w_t, w_y=w_y, q_t=0.5 * (gram_t + gram_t.T),
-            q_y=np.diag(w_y @ e), f=_profile(self.ocp, self.op_y2.rule.nodes),
-            f0=float(self.ocp.initial(0.0)),
+            grid=self.grid, r1=self.ocp.r1, r2=self.ocp.r2, p1=p1, a=self.op_y2.matrix @ e,
+            w_t=w_t, w_y=w_y, q_t=0.5 * (gram_t + gram_t.T), q_y=np.diag(w_y @ e),
+            f=_profile(self.ocp, self.op_y2.rule.nodes), f0=float(self.ocp.initial(0.0)),
         )
 
 
@@ -401,7 +314,7 @@ def assemble_dynamics(qp: DiscreteQp, out: np.ndarray) -> None:
     diagonal time blocks of phi.
     """
     n_t = qp.grid.n_t + 1
-    _kron(qp.p1, qp._mismatch(), out)
+    _kron(qp.p1, qp.mismatch, out)
     phi = out[:, : qp.grid.block_size].reshape(n_t, qp.grid.n_y + 1, n_t, qp.grid.n_y + 2)
     for j in range(n_t):
         phi[j, :, j] += qp.a

@@ -66,6 +66,17 @@ class TestCellConstruction:
     def test_defaults_to_single_cell(self):
         assert RunConfig().cells() == [(8, 8, 0.0)]
 
+    def test_command_line_defaults_are_the_config_defaults(self, tmp_path):
+        assert main(["--out", str(tmp_path)]) == 0
+        echo = json.loads((tmp_path / "config.json").read_text())
+        config = RunConfig()
+        assert (echo["L"], echo["tf"], echo["r1"], echo["r2"], echo["f"]) == (
+            config.length, config.t_final, config.r1, config.r2, config.f_spec
+        )
+        assert (echo["Ny"], echo["alpha"], echo["eval_grid"]) == (
+            list(config.n_y), list(config.alphas), config.eval_grid
+        )
+
     def test_nt_mirrors_ny_when_unset(self):
         config = RunConfig(n_y=(4, 6), sweep=True)
         assert config.cells() == [(4, 4, 0.0), (6, 6, 0.0)]

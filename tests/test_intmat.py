@@ -293,13 +293,6 @@ class TestFullIntervalVector:
             f"(largest disagreement {err.disagreement:.3e})"
         )
 
-    def test_length_argument_validated(self):
-        rule = make_rule(length=4.0, degree=3)
-        with pytest.raises(ValueError):
-            full_interval_vector(rule, length=2.0)
-        row = full_interval_vector(rule, length=4.0)
-        assert row.shape == (4,)
-
 
 @settings(deadline=None, max_examples=30)
 @given(

@@ -56,6 +56,15 @@ class TestErrorPaths:
             solve(with_factors(tr, q_t=q_t))
 
 
+    def test_singular_time_operator_named(self):
+        """D = P1^-1 is set up with the preconditioner and fails like it."""
+        tr = transcription(4, 4)
+        p1 = tr.qp.p1.copy()
+        p1[:, 0] = 0.0
+        with pytest.raises(SolveError, match="preconditioner setup failed"):
+            solve(with_factors(tr, p1=p1))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestOverflowingPrograms:
     """Finite programs whose arithmetic overflows end in a SolveError."""
@@ -198,9 +207,10 @@ class TestCondensedSolve:
         normwise backward error.  The forward error is cond(M) times that,
         and cond(M) reaches 1e12 at alpha = 10 on this grid."""
         qp = transcription(7, 9, alpha).qp
-        z_y = qpsolve._NullSpace(qp).z_y
+        condensed = qpsolve._Condensed(qp)
+        z_y = condensed.z_y
         n_t = qp.grid.n_t + 1
-        k = np.kron(qp.d, qp.a) + np.kron(np.eye(n_t), qp._mismatch())
+        k = np.kron(condensed.d, qp.a) + np.kron(np.eye(n_t), qp.mismatch)
         kz = k @ np.kron(np.eye(n_t), z_y)
         m = 2.0 * qp.r2 * kz.T @ (np.kron(qp.w_t, qp.w_y)[:, None] * kz)
         x = rng.normal(size=m.shape[0])
@@ -209,6 +219,44 @@ class TestCondensedSolve:
         norm = lambda v: np.linalg.norm(v, np.inf)
         eta = norm(m @ back - mx) / (norm(m) * norm(back) + norm(mx))
         assert eta <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.5])
+    @pytest.mark.parametrize("n", [4, 12, 32])
+    def test_saddle_matches_kronecker_sum(self, n, alpha, rng):
+        """The matrix-free condensed Hessian, 2 Qc zeta, and the flux rows
+        reproduce the product with the condensed saddle matrix summed from
+        np.kron products plus its transpose."""
+        qp = transcription(n, n, alpha).qp
+        condensed = qpsolve._Condensed(qp)
+        a, c = qp.a, qp.mismatch
+        b = c + np.eye(n + 1, n + 2)
+        d, p1, w_t = condensed.d, qp.p1, qp.w_t
+
+        def gram(x, y):
+            return x.T @ (qp.w_y[:, None] * y)
+
+        terms = (
+            (qp.r1 * np.diag(w_t) + qp.r2 * d.T @ (w_t[:, None] * d), gram(a, a)),
+            (qp.r1 * p1.T @ (w_t[:, None] * p1), gram(b, b)),
+            (qp.r2 * np.diag(w_t), gram(c, c)),
+            (2.0 * qp.r1 * (w_t[:, None] * p1), gram(a, b)),
+            (2.0 * qp.r2 * (d.T * w_t), gram(a, c)),
+        )
+        size = (n + 1) * (n + 2)
+        kkt = np.zeros((size + n + 1,) * 2)
+        hess = kkt[:size, :size]
+        for t, s_ in terms:
+            hess += np.kron(t, s_)
+        hess += hess.T
+        flux = np.kron(np.eye(n + 1), np.append(qp.w_y, 0.0))
+        kkt[size:, :size] = flux
+        kkt[:size, size:] = flux.T
+        zeta, mu = rng.normal(size=(n + 1, n + 2)), rng.normal(size=n + 1)
+        want = kkt @ np.concatenate([zeta.ravel(), mu])
+        got = condensed.hessian(zeta) + np.outer(mu, np.append(qp.w_y, 0.0))
+        assert np.abs(got.ravel() - want[:size]).max() <= 1e-14 * np.abs(want[:size]).max()
+        flux = zeta[:, :-1] @ qp.w_y
+        assert np.abs(flux - want[size:]).max() <= 1e-14 * np.abs(want[size:]).max()
 
     @pytest.mark.parametrize("n, alpha", [(10, 20.0), (12, 15.0)])
     def test_residual_gate_rejects_large_alpha(self, n, alpha):

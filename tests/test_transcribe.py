@@ -491,8 +491,8 @@ class TestLoopReference:
 
 
 class TestFactoredProgram:
-    """The program's matrix-free products with Q, H, H' and the condensed
-    Hessian reproduce its dense Kronecker expansions to round-off."""
+    """The program's matrix-free products with Q, H and H' reproduce its
+    dense Kronecker expansions to round-off."""
 
     @pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.5])
     @pytest.mark.parametrize("n_y, n_t", [(1, 1), (3, 5), (5, 3), (8, 8)])
@@ -539,40 +539,3 @@ class TestFactoredProgram:
         for name in ("H", "b", "Q", "c", "j0"):
             getattr(qp, name)
         assert sorted(calls) == sorted(every)
-
-    @pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.5])
-    @pytest.mark.parametrize("n", [4, 12, 32])
-    def test_saddle_matches_kronecker_sum(self, n, alpha, rng):
-        """The matrix-free condensed Hessian, 2 Qc zeta, and the flux rows
-        reproduce the product with the condensed saddle matrix summed from
-        np.kron products plus its transpose."""
-        qp = make_transcription(n_y=n, n_t=n, alpha=alpha).qp
-        a, c = qp.a, qp._mismatch()
-        b = c + np.eye(n + 1, n + 2)
-        d, p1, w_t = qp.d, qp.p1, qp.w_t
-
-        def gram(x, y):
-            return x.T @ (qp.w_y[:, None] * y)
-
-        terms = (
-            (qp.r1 * np.diag(w_t) + qp.r2 * d.T @ (w_t[:, None] * d), gram(a, a)),
-            (qp.r1 * p1.T @ (w_t[:, None] * p1), gram(b, b)),
-            (qp.r2 * np.diag(w_t), gram(c, c)),
-            (2.0 * qp.r1 * (w_t[:, None] * p1), gram(a, b)),
-            (2.0 * qp.r2 * (d.T * w_t), gram(a, c)),
-        )
-        size = (n + 1) * (n + 2)
-        kkt = np.zeros((size + n + 1,) * 2)
-        hess = kkt[:size, :size]
-        for t, s_ in terms:
-            hess += np.kron(t, s_)
-        hess += hess.T
-        flux = np.kron(np.eye(n + 1), np.append(qp.w_y, 0.0))
-        kkt[size:, :size] = flux
-        kkt[:size, size:] = flux.T
-        zeta, mu = rng.normal(size=size), rng.normal(size=n + 1)
-        want = kkt @ np.concatenate([zeta, mu])
-        got = 2.0 * qp.qc_mul(zeta) + np.outer(mu, np.append(qp.w_y, 0.0))
-        assert np.abs(got.ravel() - want[:size]).max() <= 1e-14 * np.abs(want[:size]).max()
-        flux = zeta.reshape(n + 1, n + 2)[:, :-1] @ qp.w_y
-        assert np.abs(flux - want[size:]).max() <= 1e-14 * np.abs(want[size:]).max()
