@@ -108,14 +108,13 @@ def _check_point(x: float, length: float) -> None:
         raise ValueError(f"node {x} outside [0, {length}]")
 
 
-def qth_order_error_bound(inputs: BoundInputs, x: float, q: int | None = None) -> float:
-    """Error bound for the order-q running-integral row at node x, given a
-    sup bound on the (n+1)-st derivative of the integrand."""
+def _log_bound(inputs: BoundInputs, x: float, q: int | None) -> float:
+    """Log of the order-q bound at node x, checking the order and the node."""
     order = _checked_order(inputs.q if q is None else q)
     spec = inputs.spec
     _check_point(x, spec.length)
     n, alpha, length = spec.degree, spec.alpha, spec.length
-    log_val = (
+    return (
         _log_or_zero(inputs.deriv_sup)
         - (2 * n + 1) * _LOG2
         + math.lgamma(alpha + 1.0)
@@ -125,7 +124,12 @@ def qth_order_error_bound(inputs: BoundInputs, x: float, q: int | None = None) -
         - math.lgamma(float(order))
         + _log_degree_factor(alpha, n)
     )
-    return float(np.exp(log_val))
+
+
+def qth_order_error_bound(inputs: BoundInputs, x: float, q: int | None = None) -> float:
+    """Error bound for the order-q running-integral row at node x, given a
+    sup bound on the (n+1)-st derivative of the integrand."""
+    return float(np.exp(_log_bound(inputs, x, q)))
 
 
 def first_order_error_bound(inputs: BoundInputs, x: float) -> float:
@@ -140,21 +144,8 @@ def uniform_sup_error_bound(inputs: BoundInputs, x: float, q: int | None = None)
     to order n+1; the product-rule expansion then contributes a factor
     2^(n+1) and the leibniz_sup term relative to the order-specific bound.
     """
-    order = _checked_order(inputs.q if q is None else q)
-    spec = inputs.spec
-    _check_point(x, spec.length)
-    n, alpha, length = spec.degree, spec.alpha, spec.length
-    log_val = (
-        -n * _LOG2
-        + _log_or_zero(inputs.deriv_sup)
-        + (n + 1) * math.log(length)
-        + _log_or_zero(inputs.leibniz_sup)
-        + _log_or_zero(x)
-        + math.lgamma(alpha + 1.0)
-        - math.lgamma(float(order))
-        - math.lgamma(2.0 * alpha + 1.0)
-        + _log_degree_factor(alpha, n)
-    )
+    n = inputs.spec.degree
+    log_val = _log_bound(inputs, x, q) + (n + 1) * _LOG2 + _log_or_zero(inputs.leibniz_sup)
     return float(np.exp(log_val))
 
 
@@ -232,16 +223,13 @@ def estimate_derivative_sup(
         raise ValueError("empty estimation interval")
     fact = math.factorial(order)
     angles = np.cos(np.arange(order + 1) * math.pi / order)[::-1]
+    width = 0.5 * (hi - lo)
+    windows = [(lo, hi - lo)] + [
+        (lo + k * (hi - lo - width) / max(1, n_windows - 1), width) for k in range(n_windows)
+    ]
     best = 0.0
-    widths = [hi - lo, 0.5 * (hi - lo)]
-    for width in widths:
-        if width <= 0.0:
-            continue
-        n_off = 1 if width == hi - lo else n_windows
-        for k in range(n_off):
-            start = lo + k * (hi - lo - width) / max(1, n_off - 1) if n_off > 1 else lo
-            mid, half = start + 0.5 * width, 0.5 * width
-            xs = mid + half * angles
-            ys = np.array([f(v) for v in xs])
-            best = max(best, abs(_divided_difference(xs, ys) * fact))
+    for start, span in windows:
+        xs = start + 0.5 * span + 0.5 * span * angles
+        ys = np.array([f(v) for v in xs])
+        best = max(best, abs(_divided_difference(xs, ys) * fact))
     return best

@@ -360,7 +360,8 @@ def run_sweep(config: RunConfig) -> tuple[list[RunRecord], dict[tuple[int, int, 
 
 
 def _parse_range(token: str, cast):
-    """One value, or an inclusive range 'start:stop[:step]'."""
+    """One value, or an inclusive range 'start:stop[:step]', which never
+    passes its stop."""
     if ":" not in token:
         return [cast(token)]
     parts = token.split(":")
@@ -372,7 +373,7 @@ def _parse_range(token: str, cast):
         raise ConfigError(f"cannot parse range {token!r}")
     if step <= 0 or stop < start:
         raise ConfigError(f"range {token!r} must ascend with positive step")
-    count = int(round((stop - start) / step)) + 1
+    count = int((stop - start) / step + 1e-9) + 1
     vals = [start + k * step for k in range(count)]
     return [cast(round(v, 12)) for v in vals]
 

@@ -69,16 +69,6 @@ class IntegrationOperator:
     full_interval_row: np.ndarray | None
     interval: tuple[float, float]
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Running integral(s) of the sampled function at the nodes."""
-        return self.matrix @ values
-
-    def full_integral(self, values: np.ndarray) -> np.ndarray:
-        """Integral over the whole interval (first-order operators only)."""
-        if self.full_interval_row is None:
-            raise ValueError("full-interval row is only defined for order 1")
-        return self.full_interval_row @ values
-
     @property
     def op_nodes(self) -> np.ndarray:
         """Node coordinates in the operator's own interval."""

@@ -14,8 +14,8 @@ is the condensed saddle system [2 Qc, F'; F, 0] of (N_y + 3)(N_t + 1) rows,
 whose only constraints are the N_t + 1 flux rows.  The solver reads nothing
 but the factors, never the dense H or Q: b, c, j0 and the products with Q,
 H, H' and Qc are (N_t + 1) x (N_y + 2) matrix products of them, and its
-input checks ask that the factors be finite and Q's time and space factors
-symmetric.  The flux rows have an explicit Kronecker null space, so the
+input checks ask that the factors be finite and Q's time factor symmetric.
+The flux rows have an explicit Kronecker null space, so the
 solver reduces the condensed system onto it and solves the reduced system,
 SPD for a sound cell, by conjugate gradients preconditioned with its
 control term, which fast diagonalization on the space side applies exactly
@@ -79,10 +79,10 @@ class QpSolution:
     """Minimizer, multipliers and solve-time diagnostics.
 
     `kkt_condition` is max |theta| / min |theta| over the Ritz values theta
-    of the first max(N_t + 1, N_y + 2) CG steps of the first solve: a lower
-    bound for the condition number of the preconditioned reduced system,
-    1 + (r1/r2)(2 t_f/pi)^2 on a sound cell.  It reads low when CG runs many
-    more steps than that: 2.6e4 against about 4e5 at t_f = 100, r1 = 50."""
+    of every CG step of the first solve: a lower bound for the condition
+    number of the preconditioned reduced system, 1 + (r1/r2)(2 t_f/pi)^2 on
+    a sound cell (3.99e5 against 4.05e5 at t_f = 100, r1 = 50, r2 = 0.5,
+    N = 8)."""
 
     z: np.ndarray
     j: float
@@ -100,17 +100,15 @@ def _residual(qp: DiscreteQp, z: np.ndarray, lam: np.ndarray) -> tuple[np.ndarra
 
 
 def _check_factors(qp: DiscreteQp) -> None:
-    """A program's factors and data must be finite, and the time and space
-    factors of Q symmetric."""
+    """A program's factors and data must be finite, and the time factor of
+    Q symmetric."""
     for f in fields(qp):
         value = getattr(qp, f.name)
         if f.name != "grid" and not np.all(np.isfinite(value)):
             raise ValueError(f"non-finite entries in program factor {f.name}")
-    for name in ("q_t", "q_y"):
-        factor = getattr(qp, name)
-        scale = max(1.0, float(np.max(np.abs(factor), initial=0.0)))
-        if float(np.max(np.abs(factor - factor.T), initial=0.0)) > 1e-12 * scale:
-            raise ValueError(f"cost factor {name} must be symmetric")
+    scale = max(1.0, float(np.max(np.abs(qp.q_t), initial=0.0)))
+    if float(np.max(np.abs(qp.q_t - qp.q_t.T), initial=0.0)) > 1e-12 * scale:
+        raise ValueError("cost factor q_t must be symmetric")
 
 
 def _preconditioner(qp: DiscreteQp, z_y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -181,17 +179,17 @@ def _pcg(
             r -= alphas[-1] * q
 
 
-def _ritz_ratio(alphas: list[float], betas: list[float], steps: int) -> float:
+def _ritz_ratio(alphas: list[float], betas: list[float]) -> float:
     """max |theta| / min |theta| over the Ritz values theta of the Lanczos
-    matrix of the first `steps` CG iterations: a lower bound for the
-    condition number of the preconditioned operator.  The matrix is the
-    tridiagonal with diagonal 1/a_j + b_j/a_(j-1), subdiagonal 1/a_j and
-    superdiagonal b_(j+1)/a_j, similar to the symmetric one when every
-    b > 0 and defined even when the preconditioner is indefinite."""
-    inv = 1.0 / np.array(alphas[:steps])
+    matrix of the CG iterations: a lower bound for the condition number of
+    the preconditioned operator.  The matrix is the tridiagonal with
+    diagonal 1/a_j + b_j/a_(j-1), subdiagonal 1/a_j and superdiagonal
+    b_(j+1)/a_j, similar to the symmetric one when every b > 0 and defined
+    even when the preconditioner is indefinite."""
+    inv = 1.0 / np.array(alphas)
     if not inv.size:
         return 1.0
-    upper = np.multiply(betas[: inv.size - 1], inv[:-1])
+    upper = np.multiply(betas, inv[:-1])
     lanczos = np.diag(inv + np.append(0.0, upper)) + np.diag(inv[:-1], -1) + np.diag(upper, 1)
     ritz = np.abs(np.linalg.eigvals(lanczos))
     return float(ritz.max() / ritz.min())
@@ -343,7 +341,7 @@ def solve(qp: DiscreteQp) -> QpSolution:
         kkt_residual=stationarity,
         feasibility=feasibility,
         multipliers=lam,
-        kkt_condition=_ritz_ratio(alphas, betas, max(qp.grid.n_t + 1, qp.grid.n_y + 2)),
+        kkt_condition=_ritz_ratio(alphas, betas),
         kkt_rank_deficiency=qp.grid.n_t + 1,  # one boundary split per time node
         iterations=len(alphas) + len(refinement),
     )

@@ -139,13 +139,13 @@ class DiscreteQp:
 
     With A = P2 E and C = 1 e_b' - E (`mismatch`), the dynamics rows of H
     are [I_t (x) A + P1 (x) C, P1 (x) C] and its flux rows I_t (x) w_y' E on
-    the phi block; Q = r1 [1 1; 1 1] (x) q_t (x) q_y plus r2 W on the
-    interior u values, W = W_t (x) W_y.  f holds the initial profile at the
-    interior space nodes, f0 its value at y = 0.  `b`, `c`, `j0` and the
-    products with Q, H and H' are (N_t + 1) x (N_y + 2) matrix products of
-    these factors.  The dense `H` (`combine`) and `Q` (`assemble_cost`) are
-    their Kronecker expansions, formed the first time each is read and kept
-    by this instance alone; the solver reads neither.
+    the phi block; Q = r1 [1 1; 1 1] (x) q_t (x) diag([w_y, 0]) plus r2 W
+    on the interior u values, W = W_t (x) W_y.  f holds the initial profile
+    at the interior space nodes, f0 its value at y = 0.  `b`, `c`, `j0` and
+    the products with Q, H and H' are (N_t + 1) x (N_y + 2) matrix products
+    of these factors.  The dense `H` (`combine`) and `Q` (`assemble_cost`)
+    are their Kronecker expansions, formed the first time each is read and
+    kept by this instance alone; the solver reads neither.
     """
 
     grid: GridIndexMap
@@ -156,7 +156,6 @@ class DiscreteQp:
     w_t: np.ndarray
     w_y: np.ndarray
     q_t: np.ndarray
-    q_y: np.ndarray
     f: np.ndarray
     f0: float
 
@@ -195,24 +194,22 @@ class DiscreteQp:
     def q_mul(self, z: np.ndarray) -> np.ndarray:
         """Q Z."""
         phi, u = self.grid.blocks(z)
-        state = self.r1 * (self.q_t @ (phi + u) @ self.q_y)
-        control = state + self.r2 * (self.w_t[:, None] * np.append(self.w_y, 0.0)) * u
+        w_y = np.append(self.w_y, 0.0)
+        state = self.r1 * (self.q_t @ (phi + u) * w_y)
+        control = state + self.r2 * (self.w_t[:, None] * w_y) * u
         return np.concatenate([state.ravel(), control.ravel()])
 
     def h_mul(self, z: np.ndarray) -> np.ndarray:
         """H Z: the dynamics rows, then the flux rows."""
         phi, u = self.grid.blocks(z)
-        dyn = phi @ self.a.T + self.p1 @ ((phi + u) @ self.mismatch.T)
-        return np.concatenate([dyn.ravel(), phi[:, :-1] @ self.w_y])
+        return _rows(phi, u, self.a, self.p1, self.mismatch, self.w_y)
 
     def h_terms(self, z: np.ndarray) -> np.ndarray:
         """|H| |Z|, the magnitude of the terms H Z sums: the scale of its
         round-off, which H Z itself does not give when it cancels to b = 0
         (a constant initial profile)."""
         phi, u = np.abs(self.grid.blocks(z))
-        mismatch = np.abs(self.mismatch)
-        dyn = phi @ np.abs(self.a.T) + np.abs(self.p1) @ ((phi + u) @ mismatch.T)
-        return np.concatenate([dyn.ravel(), phi[:, :-1] @ np.abs(self.w_y)])
+        return _rows(phi, u, *map(np.abs, (self.a, self.p1, self.mismatch, self.w_y)))
 
     def ht_mul(self, lam: np.ndarray) -> np.ndarray:
         """H' lambda, lambda = [dynamics multipliers; flux multipliers]."""
@@ -258,15 +255,21 @@ class Transcription:
     @property
     def qp(self) -> DiscreteQp:
         """The program's factors.  Q's time factor P1' W_t P1 is symmetrized
-        so that Q is exactly symmetric; its space factor is E' W_y E."""
+        so that Q is exactly symmetric; its space factor is diag([w_y, 0])."""
         p1, e = self.op_t1.matrix, _interior(self.grid)
         w_y, w_t = self.op_y1.full_interval_row, self.op_t1.full_interval_row
         gram_t = p1.T @ (w_t[:, None] * p1)
         return DiscreteQp(
             grid=self.grid, r1=self.ocp.r1, r2=self.ocp.r2, p1=p1, a=self.op_y2.matrix @ e,
-            w_t=w_t, w_y=w_y, q_t=0.5 * (gram_t + gram_t.T), q_y=np.diag(w_y @ e),
+            w_t=w_t, w_y=w_y, q_t=0.5 * (gram_t + gram_t.T),
             f=_profile(self.ocp, self.op_y2.rule.nodes), f0=float(self.ocp.initial(0.0)),
         )
+
+
+def _rows(phi, u, a, p1, c, w) -> np.ndarray:
+    """Dynamics rows phi A' + P1 (phi + u) C', then flux rows phi E w."""
+    dyn = phi @ a.T + p1 @ ((phi + u) @ c.T)
+    return np.concatenate([dyn.ravel(), phi[:, :-1] @ w])
 
 
 def _check_operator(op: IntegrationOperator, order: int, size: int, length: float) -> None:
@@ -311,23 +314,22 @@ def assemble_dynamics(qp: DiscreteQp, out: np.ndarray) -> None:
     interior selector and e_b the boundary slot, the u block is
     P1 (x) (1 e_b' - E) and the phi block is I_t (x) (P2 E) plus the u
     block: both blocks are written as the u block, then P2 E is added to the
-    diagonal time blocks of phi.
+    diagonal time blocks of phi through a view of them.
     """
     n_t = qp.grid.n_t + 1
     _kron(qp.p1, qp.mismatch, out)
     phi = out[:, : qp.grid.block_size].reshape(n_t, qp.grid.n_y + 1, n_t, qp.grid.n_y + 2)
-    for j in range(n_t):
-        phi[j, :, j] += qp.a
+    np.einsum("jijk->jik", phi)[...] += qp.a
 
 
 def assemble_boundary(qp: DiscreteQp, out: np.ndarray) -> None:
     """Zero-flux closure at y = L, written into `out`, the last N_t + 1 rows
     of H (zero on entry): row j requires the interior phi values of time
     node j to integrate to zero across [0, L], I_t (x) (w_y' E) on the phi
-    block."""
-    stride = qp.grid.n_y + 2
-    for j in range(qp.grid.n_t + 1):
-        out[j, j * stride : j * stride + qp.grid.n_y + 1] = qp.w_y
+    block, written through a view of its diagonal time blocks."""
+    n_t = qp.grid.n_t + 1
+    phi = out[:, : qp.grid.block_size].reshape(n_t, n_t, qp.grid.n_y + 2)
+    np.einsum("jjk->jk", phi)[:, :-1] = qp.w_y
 
 
 def combine(qp: DiscreteQp) -> np.ndarray:
@@ -357,15 +359,16 @@ def assemble_cost(qp: DiscreteQp) -> np.ndarray:
     coordinates; the state enters through the affine recovery map, so
     Q = r1 M' W M + r2 S' W S with W = W_t (x) W_y the tensor quadrature
     weight and S the interior-u selector.  Since M = [1, 1] (x) P1 (x) E,
-    r1 M' W M = r1 [[B, B], [B, B]] with B = q_t (x) q_y, all four blocks
-    written by one product.  S' W S is diagonal and is added in place.
+    r1 M' W M = r1 [[B, B], [B, B]] with B = q_t (x) diag([w_y, 0]), all
+    four blocks written by one product; S' W S is diagonal, added in place.
     """
     block = qp.grid.block_size
+    w_y = np.append(qp.w_y, 0.0)
     q = np.empty((2 * block, 2 * block))
-    _kron(qp.q_t, qp.q_y, q)
+    _kron(qp.q_t, np.diag(w_y), q)
     q *= qp.r1
     u_diag = np.arange(block, 2 * block)
-    q[u_diag, u_diag] += qp.r2 * np.kron(qp.w_t, np.diagonal(qp.q_y))
+    q[u_diag, u_diag] += qp.r2 * np.kron(qp.w_t, w_y)
     return q
 
 

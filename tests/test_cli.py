@@ -31,6 +31,7 @@ from gegopt.cli import (
     RunRecord,
     _build_parser,
     _csv_rows,
+    _parse_range,
     _stage,
     emit_profiles,
     main,
@@ -349,6 +350,23 @@ class TestMainOutputs:
         assert {r[0] for r in rows} == {"4", "5", "6"}
         assert {r[2] for r in rows} == {"-0.2", "0", "0.2"}
 
+    @pytest.mark.parametrize(
+        "token, cast, want",
+        [
+            ("4:12:3", int, [4, 7, 10]),
+            ("0:1.9:0.4", float, [0.0, 0.4, 0.8, 1.2, 1.6]),
+            ("-0.4:0.9:0.1", float, [round(-0.4 + 0.1 * k, 12) for k in range(14)]),
+            ("0:0.3:0.1", float, [0.0, 0.1, 0.2, 0.3]),
+        ],
+    )
+    def test_range_never_passes_its_stop(self, token, cast, want):
+        assert _parse_range(token, cast) == want
+
+    def test_alpha_range_stops_inside_window(self, capsys):
+        assert main(["--Ny", "4", "--alpha=0:1.9:0.4", "--sweep", "--eval-grid", "11"]) == 0
+        alphas = [line.split()[2] for line in capsys.readouterr().out.splitlines()]
+        assert alphas == ["alpha=0:", "alpha=0.4:", "alpha=0.8:", "alpha=1.2:", "alpha=1.6:"]
+
     def test_mixed_grid_tag(self, tmp_path):
         args = ["--Ny", "4", "--Nt", "3", "--eval-grid", "11",
                 "--out", str(tmp_path)]
@@ -528,7 +546,13 @@ class TestRuntimeDependencies:
 class TestScripts:
     @pytest.mark.parametrize(
         "name",
-        ["convergence_table.py", "large_cells.py", "quadrature_bound_demo.py", "run_benchmark_sweep.py"],
+        [
+            "cell_fingerprints.py",
+            "convergence_table.py",
+            "large_cells.py",
+            "quadrature_bound_demo.py",
+            "run_benchmark_sweep.py",
+        ],
     )
     def test_help_shows_module_docstring(self, name):
         script = Path(__file__).resolve().parents[1] / "scripts" / name

@@ -201,6 +201,17 @@ class TestCondensedSolve:
         assert sol.kkt_condition == pytest.approx(1.0 + (2.0 / np.pi) ** 2, rel=1e-3)
         assert sol.kkt_rank_deficiency == n + 1
 
+    def test_condition_estimate_reads_every_cg_step(self):
+        """At t_f = 100, r1 = 50 CG takes about 160 steps on the N = 8 grid,
+        and the Ritz values of all of them put kkt_condition within 5% of
+        1 + (r1/r2)(2 t_f/pi)^2, 4.05e5."""
+        ocp = DiffusionOcp(length=4.0, t_final=100.0, r1=50.0, r2=0.5, initial=lambda y: 1.0 + y)
+        rule_y = sgg_rule(BasisSpec(alpha=0.0, length=4.0, degree=8))
+        rule_t = sgg_rule(BasisSpec(alpha=0.0, length=100.0, degree=8))
+        sol = solve(build(ocp, rule_y, rule_t).qp)
+        want = 1.0 + (50.0 / 0.5) * (2.0 * 100.0 / np.pi) ** 2
+        assert sol.kkt_condition == pytest.approx(want, rel=0.05)
+
     @pytest.mark.parametrize("alpha", [-0.4, 0.0, 0.5, 3.0, 10.0])
     def test_preconditioner_inverts_the_control_term(self, alpha, rng):
         """M^-1 (M x) = x for M = 2 r2 (K Z)' W (K Z), to within 1e-12 in
