@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 
-"""Solve every cell the benchmark solves and write one SHA-256 per cell to
-OUT.json, so that two checkouts can be compared for byte-identical results
+"""Solve every cell and make every operator build that the benchmark does,
+and write one SHA-256 per cell and per build to OUT.json, so that two
+checkouts can be compared for byte-identical results of all three workloads
 with one diff.
 
 The cells are the paper_sweep grid (N = 4..12 by 14 alphas), the
@@ -9,9 +10,13 @@ ladder_large cells N = 16, 24, 32 at alpha = 0 and the warm-up cell, each at
 the profiles that seeds 5 and 41 draw: 258 distinct cells, all run through
 `gegopt.cli.run_single`.  A cell's hash covers z, the multipliers, x, phi,
 u, J, the CG iteration count, kkt_condition, psi1, psi2, feasibility and
-kkt_residual, and for N <= 12 also the dense H and Q and b, c and j0.  A
-cell that raises is hashed by its error.  The script imports the gegopt and
-perfbench of the checkout it sits in.
+kkt_residual, and for N <= 12 also the dense H and Q and b, c and j0.  The
+builds are the 12 operators_highdeg builds (n = 128..1024 by 3 alphas) at
+each seed's interval length, made by `perfbench.workloads.run_operators`:
+24 builds, each hashed over P1, its full-interval row, P2 and the error
+bound at every node.  A cell or build that raises is hashed by its error.
+The script imports the gegopt and perfbench of the checkout it sits in, so
+to fingerprint another checkout, run a copy of it placed in that checkout.
 
 $ python3 scripts/cell_fingerprints.py after.json
 $ diff before.json after.json
@@ -34,13 +39,24 @@ SEEDS = (5, 41)
 DENSE_N = 12
 
 
+def _digest(outcome) -> str:
+    """SHA-256 over a list of (name, array) pairs, each array taken as
+    float64 bytes, or of the exception that the outcome is."""
+    digest = hashlib.sha256()
+    if isinstance(outcome, Exception):
+        digest.update(f"error: {outcome!r}".encode())
+        return digest.hexdigest()
+    for name, value in outcome:
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(value, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
 def fingerprint(n: int, cell) -> str:
     """SHA-256 of a solved cell, the (record, solution) pair of
     `run_single`, or of the exception it raised."""
-    digest = hashlib.sha256()
     if isinstance(cell, Exception):
-        digest.update(f"error: {cell!r}".encode())
-        return digest.hexdigest()
+        return _digest(cell)
     record, sol = cell
     sources = [
         (sol, ("z", "phi", "u", "x")),
@@ -49,11 +65,23 @@ def fingerprint(n: int, cell) -> str:
     ]
     if n <= DENSE_N:
         sources.append((sol.transcription.qp, ("H", "Q", "b", "c", "j0")))
-    for source, names in sources:
-        for name in names:
-            digest.update(name.encode())
-            digest.update(np.ascontiguousarray(getattr(source, name), dtype=np.float64).tobytes())
-    return digest.hexdigest()
+    return _digest([(name, getattr(source, name)) for source, names in sources for name in names])
+
+
+def operator_fingerprint(build) -> str:
+    """SHA-256 of one (rule, P1, P2, bound) build of `run_operators`, or of
+    the exception it raised."""
+    if isinstance(build, Exception):
+        return _digest(build)
+    _, first, second, bound = build
+    return _digest(
+        [
+            ("P1", first.matrix),
+            ("full_interval_row", first.full_interval_row),
+            ("P2", second.matrix),
+            ("bound", bound),
+        ]
+    )
 
 
 def main(argv=None) -> int:
@@ -70,16 +98,20 @@ def main(argv=None) -> int:
     cells += [(n, workloads.LADDER_ALPHA) for n in workloads.LADDER_N]
     cells = list(dict.fromkeys(cells + [workloads.WARM_UP_CELL]))
     result = {}
+    builds = [(n, alpha) for n in workloads.OPERATOR_N for alpha in workloads.OPERATOR_ALPHAS]
     for seed in SEEDS:
-        ocp = workloads.ocp_for(oracle.draw_inputs(seed))
+        inputs = oracle.draw_inputs(seed)
+        ocp = workloads.ocp_for(inputs)
         for n, alpha in cells:
             try:
                 cell = cli.run_single(ocp, n, n, alpha)
             except Exception as exc:  # noqa: BLE001 - a failing cell is fingerprinted too
                 cell = exc
             result[f"seed={seed} N={n} alpha={alpha:g}"] = fingerprint(n, cell)
+        for (n, alpha), build in zip(builds, workloads.run_operators(inputs, None)):
+            result[f"seed={seed} operators n={n} alpha={alpha:g}"] = operator_fingerprint(build)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
-    print(f"{len(result)} cell fingerprints written to {args.out}")
+    print(f"{len(result)} fingerprints written to {args.out}")
     return 0
 
 

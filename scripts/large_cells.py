@@ -5,13 +5,11 @@ N = 64, 96 and 128 grids at alpha = 0, each cell in a fresh process, and
 report its wall time, peak resident memory, cost error |J - J*|, CG
 iterations and condition estimate.
 
-The condensed route forms no array of O(N^4) entries, so these cells need
-tens of MB.  When it factored the dense condensed saddle matrix by LU, the
-N = 64 cell took 2.9 s and 337 MB on a 2-core machine with 2 BLAS threads,
-and the N = 96 cell fell through to the dense SVD route, whose full saddle
-matrix alone takes 6.5 GB.  Each process may map at most MEMORY_CAP bytes,
-so a cell that needs more fails with a MemoryError instead of exhausting the
-machine; a failed cell is reported with its exit status and last error line.
+The solve works on the Kronecker factors of the program and forms no array
+of O(N^4) entries, so these cells need tens of MB.  Each process may map at
+most MEMORY_CAP bytes, so a cell that needs more fails with a MemoryError
+instead of exhausting the machine; a failed cell is reported with its exit
+status and last error line.
 
 $ python3 scripts/large_cells.py
 """

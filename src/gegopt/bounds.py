@@ -18,7 +18,7 @@ functions plus a fitted-constant helper, never asserted as absolute bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -48,6 +48,8 @@ class BoundInputs:
     up to n+1 for the uniform variant.  leibniz_sup is the product-rule
     factor of the uniform variant (the max of (q-1)! and the worst
     falling-factorial-times-distance-power term); it stays 1 for q = 1.
+    q is the integration order of qth_order_error_bound and
+    uniform_sup_error_bound; the first-order bounds ignore it.
     """
 
     spec: BasisSpec
@@ -61,10 +63,9 @@ class BoundInputs:
             raise ValueError("derivative bounds must be nonnegative")
 
 
-def _checked_order(q: int) -> int:
+def _checked_order(q: int) -> None:
     if int(q) != q or q < 1:
         raise ValueError(f"integration order must be a positive integer, got {q}")
-    return q
 
 
 def _log_abs_binom(a: float, k: float) -> float:
@@ -108,9 +109,8 @@ def _check_point(x: float, length: float) -> None:
         raise ValueError(f"node {x} outside [0, {length}]")
 
 
-def _log_bound(inputs: BoundInputs, x: float, q: int | None) -> float:
-    """Log of the order-q bound at node x, checking the order and the node."""
-    order = _checked_order(inputs.q if q is None else q)
+def _log_bound(inputs: BoundInputs, x: float) -> float:
+    """Log of the order-q bound at node x, checking the node."""
     spec = inputs.spec
     _check_point(x, spec.length)
     n, alpha, length = spec.degree, spec.alpha, spec.length
@@ -121,23 +121,24 @@ def _log_bound(inputs: BoundInputs, x: float, q: int | None) -> float:
         + _log_or_zero(x)
         + (n + 1) * math.log(length)
         - math.lgamma(2.0 * alpha + 1.0)
-        - math.lgamma(float(order))
+        - math.lgamma(float(inputs.q))
         + _log_degree_factor(alpha, n)
     )
 
 
-def qth_order_error_bound(inputs: BoundInputs, x: float, q: int | None = None) -> float:
-    """Error bound for the order-q running-integral row at node x, given a
-    sup bound on the (n+1)-st derivative of the integrand."""
-    return float(np.exp(_log_bound(inputs, x, q)))
+def qth_order_error_bound(inputs: BoundInputs, x: float) -> float:
+    """Error bound for the order-q (q = inputs.q) running-integral row at
+    node x, given a sup bound on the (n+1)-st derivative of the integrand."""
+    return float(np.exp(_log_bound(inputs, x)))
 
 
 def first_order_error_bound(inputs: BoundInputs, x: float) -> float:
-    """Single-integration (q = 1) specialization of the order-q bound."""
-    return qth_order_error_bound(inputs, x, q=1)
+    """Single-integration (q = 1) specialization of the order-q bound,
+    whatever inputs.q says."""
+    return qth_order_error_bound(replace(inputs, q=1), x)
 
 
-def uniform_sup_error_bound(inputs: BoundInputs, x: float, q: int | None = None) -> float:
+def uniform_sup_error_bound(inputs: BoundInputs, x: float) -> float:
     """Error bound using one uniform derivative sup across all orders.
 
     Applies when deriv_sup dominates every derivative of the integrand up
@@ -145,7 +146,7 @@ def uniform_sup_error_bound(inputs: BoundInputs, x: float, q: int | None = None)
     2^(n+1) and the leibniz_sup term relative to the order-specific bound.
     """
     n = inputs.spec.degree
-    log_val = _log_bound(inputs, x, q) + (n + 1) * _LOG2 + _log_or_zero(inputs.leibniz_sup)
+    log_val = _log_bound(inputs, x) + (n + 1) * _LOG2 + _log_or_zero(inputs.leibniz_sup)
     return float(np.exp(log_val))
 
 
@@ -157,13 +158,15 @@ def dynamics_residual_bound(
     inputs_y bounds the space derivatives of the curvature variable
     (deriv_sup uniform over orders, with its product-rule factor);
     inputs_t bounds the (N_t + 1)-st time derivative of the once-integrated
-    combination.  Both rules must share one family parameter.
+    combination.  Both rules must share one family parameter, and both
+    bounds are taken at q = 1.
     """
     alpha = inputs_y.spec.alpha
     if abs(alpha - inputs_t.spec.alpha) > 1e-14:
         raise ValueError("space and time rules must share the family parameter")
     with np.errstate(over="ignore"):
-        return uniform_sup_error_bound(inputs_y, y, q=1) + first_order_error_bound(inputs_t, t)
+        spatial = uniform_sup_error_bound(replace(inputs_y, q=1), y)
+        return spatial + first_order_error_bound(inputs_t, t)
 
 
 def asymptotic_shape(n: int, length: float, x: float, alpha: float, q: int = 1) -> float:
@@ -208,9 +211,11 @@ def _divided_difference(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(table[0])
 
 
-def estimate_derivative_sup(
-    f: Callable[[float], float], lo: float, hi: float, order: int, n_windows: int = 8
-) -> float:
+#: Half-width windows sampled besides the whole interval.
+_N_WINDOWS = 8
+
+
+def estimate_derivative_sup(f: Callable[[float], float], lo: float, hi: float, order: int) -> float:
     """Rough numerical estimate of sup |f^(order)| on [lo, hi].
 
     Samples order-th divided differences (times order!) on Chebyshev-spaced
@@ -225,7 +230,7 @@ def estimate_derivative_sup(
     angles = np.cos(np.arange(order + 1) * math.pi / order)[::-1]
     width = 0.5 * (hi - lo)
     windows = [(lo, hi - lo)] + [
-        (lo + k * (hi - lo - width) / max(1, n_windows - 1), width) for k in range(n_windows)
+        (lo + k * (hi - lo - width) / (_N_WINDOWS - 1), width) for k in range(_N_WINDOWS)
     ]
     best = 0.0
     for start, span in windows:

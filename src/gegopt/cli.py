@@ -144,6 +144,8 @@ def parse_initial_profile(spec: str) -> Callable[[float], float]:
     try:
         kind, _, payload = spec.partition(":")
         coeffs = [float(v) for v in payload.split(",")] if payload else []
+        if not np.isfinite(coeffs).all():
+            raise ValueError
         if kind == "affine":
             if len(coeffs) != 2:
                 raise ValueError

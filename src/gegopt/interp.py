@@ -20,7 +20,6 @@ __all__ = [
     "Interpolant2D",
     "barycentric_basis",
     "eval1d",
-    "eval2d",
     "eval2d_grid",
 ]
 
@@ -98,11 +97,6 @@ def eval1d(p: Interpolant1D, x):
     basis = barycentric_basis(p.rule.nodes, p.rule.bary_weights, x_arr, length)
     out = basis @ p.values
     return float(out[0]) if np.ndim(x) == 0 else out
-
-
-def eval2d(p: Interpolant2D, y: float, t: float) -> float:
-    """Evaluate a 2-D interpolant at one point of its rectangle."""
-    return float(eval2d_grid(p, np.array([y]), np.array([t]))[0, 0])
 
 
 def eval2d_grid(p: Interpolant2D, ys, ts) -> np.ndarray:

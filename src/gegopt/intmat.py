@@ -13,8 +13,10 @@ reduction of an order-q repeated integral to a single weighted integral:
 
     row_i^(q) = row_i^(1) * (x_i - x_j)^(q-1) / (q-1)!   (entrywise in j).
 
-Operators built on [-1, 1] transfer to [0, length] by the scaling
-(length / 2)^q; both construction routes are kept and cross-checked.
+Every operator lives on its rule's interval [0, length], the interval of
+the shifted nodes themselves.  Only the full-interval row is also built a
+second, independent way, through the nodes pulled back to [-1, 1], and the
+two constructions are cross-checked.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from .nodes import QuadratureRule
 __all__ = [
     "IntegrationOperator",
     "first_order_matrix",
-    "standard_first_order_matrix",
-    "shift_matrix",
     "higher_order_matrix",
     "full_interval_vector",
     "FullIntervalRouteError",
@@ -55,26 +55,16 @@ class FullIntervalRouteError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegrationOperator:
-    """Dense integration operator tied to one quadrature rule.
+    """Dense integration operator on its rule's interval [0, rule.spec.length].
 
-    interval records the domain the operator acts on: (0, length) for
-    shifted operators, (-1, 1) for standard ones.  full_interval_row (the
-    integral of each basis polynomial over the whole interval) is only
-    populated for first-order operators.
+    full_interval_row (the integral of each basis polynomial over the whole
+    interval) is only populated for first-order operators.
     """
 
     rule: QuadratureRule
     order: int
     matrix: np.ndarray
     full_interval_row: np.ndarray | None
-    interval: tuple[float, float]
-
-    @property
-    def op_nodes(self) -> np.ndarray:
-        """Node coordinates in the operator's own interval."""
-        if self.interval == (-1.0, 1.0):
-            return self.rule.standard_nodes
-        return self.rule.nodes
 
 
 @lru_cache(maxsize=None)
@@ -119,45 +109,9 @@ def _integrated_basis(
 
 def first_order_matrix(rule: QuadratureRule) -> IntegrationOperator:
     """First-order integration operator on [0, length] for the rule's nodes."""
-    length = rule.spec.length
-    matrix = _integrated_basis(rule.nodes, rule.bary_weights, length, 0.0, rule.nodes)
+    matrix = _integrated_basis(rule.nodes, rule.bary_weights, rule.spec.length, 0.0, rule.nodes)
     return IntegrationOperator(
-        rule=rule,
-        order=1,
-        matrix=matrix,
-        full_interval_row=full_interval_vector(rule),
-        interval=(0.0, length),
-    )
-
-
-def standard_first_order_matrix(rule: QuadratureRule) -> IntegrationOperator:
-    """First-order operator on [-1, 1] (integration from -1) for the node set
-    pulled back to the unshifted interval."""
-    z = rule.standard_nodes
-    matrix = _integrated_basis(z, rule.bary_weights, 2.0, -1.0, z)
-    row = _integrated_basis(z, rule.bary_weights, 2.0, -1.0, np.array([1.0]))[0]
-    return IntegrationOperator(
-        rule=rule, order=1, matrix=matrix, full_interval_row=row, interval=(-1.0, 1.0)
-    )
-
-
-def shift_matrix(standard: IntegrationOperator, length: float) -> IntegrationOperator:
-    """Transfer an operator built on [-1, 1] to [0, length]: the matrix picks
-    up (length / 2)^order and the full-interval row (order 1) length / 2."""
-    if standard.interval != (-1.0, 1.0):
-        raise ValueError("shift_matrix expects an operator built on [-1, 1]")
-    if not length > 0.0:
-        raise ValueError("interval length must be positive")
-    scale = (0.5 * length) ** standard.order
-    row = None
-    if standard.full_interval_row is not None:
-        row = 0.5 * length * standard.full_interval_row
-    return IntegrationOperator(
-        rule=standard.rule,
-        order=standard.order,
-        matrix=scale * standard.matrix,
-        full_interval_row=row,
-        interval=(0.0, length),
+        rule=rule, order=1, matrix=matrix, full_interval_row=full_interval_vector(rule)
     )
 
 
@@ -173,19 +127,13 @@ def higher_order_matrix(first: IntegrationOperator, q: int) -> IntegrationOperat
         raise ValueError(f"integration order must be a positive integer, got {q}")
     if q == 1:
         return first
-    x = first.op_nodes
+    x = first.rule.nodes
     matrix = np.subtract.outer(x, x)
     if q > 2:
         matrix **= q - 1
     matrix *= first.matrix
     matrix /= math.factorial(q - 1)
-    return IntegrationOperator(
-        rule=first.rule,
-        order=int(q),
-        matrix=matrix,
-        full_interval_row=None,
-        interval=first.interval,
-    )
+    return IntegrationOperator(rule=first.rule, order=int(q), matrix=matrix, full_interval_row=None)
 
 
 def full_interval_vector(rule: QuadratureRule) -> np.ndarray:

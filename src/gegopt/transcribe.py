@@ -80,6 +80,8 @@ class DiffusionOcp:
     initial: Callable[[float], float]
 
     def __post_init__(self) -> None:
+        if not np.isfinite([self.length, self.t_final, self.r1, self.r2]).all():
+            raise ValueError("domain length, horizon and cost weights must be finite")
         if not self.length > 0.0:
             raise ValueError("domain length must be positive")
         if not self.t_final > 0.0:
@@ -277,8 +279,8 @@ def _check_operator(op: IntegrationOperator, order: int, size: int, length: floa
         raise ValueError(f"expected an order-{order} operator, got order {op.order}")
     if op.matrix.shape != (size, size):
         raise ValueError(f"operator size {op.matrix.shape} does not match grid ({size})")
-    if abs(op.interval[0]) > 1e-12 or abs(op.interval[1] - length) > 1e-12 * max(1.0, length):
-        raise ValueError(f"operator interval {op.interval} does not match [0, {length}]")
+    if abs(op.rule.spec.length - length) > 1e-12 * max(1.0, length):
+        raise ValueError(f"operator length {op.rule.spec.length} does not match {length}")
 
 
 def _interior(grid: GridIndexMap) -> np.ndarray:

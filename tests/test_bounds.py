@@ -11,6 +11,7 @@ sits above that floor.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,19 +116,21 @@ class TestClosedForms:
 class TestScalingIdentities:
     def test_q1_matches_first_order_bitwise(self):
         inputs = make_inputs(alpha=0.3, degree=9, deriv_sup=2.0)
-        assert qth_order_error_bound(inputs, x=0.6, q=1) == first_order_error_bound(inputs, x=0.6)
+        assert qth_order_error_bound(inputs, x=0.6) == first_order_error_bound(inputs, x=0.6)
+        q3 = replace(inputs, q=3)
+        assert first_order_error_bound(q3, x=0.6) == first_order_error_bound(inputs, x=0.6)
 
     def test_q3_is_half_of_q1(self):
         inputs = make_inputs(alpha=-0.2, degree=8, deriv_sup=3.0)
-        b1 = qth_order_error_bound(inputs, x=0.5, q=1)
-        b3 = qth_order_error_bound(inputs, x=0.5, q=3)
+        b1 = qth_order_error_bound(inputs, x=0.5)
+        b3 = qth_order_error_bound(replace(inputs, q=3), x=0.5)
         assert b3 == pytest.approx(b1 / 2.0, rel=1e-14)
 
     @pytest.mark.parametrize("q", [2, 4, 5])
     def test_general_q_divides_by_factorial(self, q):
         inputs = make_inputs(alpha=0.5, degree=7, deriv_sup=1.0)
-        b1 = qth_order_error_bound(inputs, x=0.8, q=1)
-        bq = qth_order_error_bound(inputs, x=0.8, q=q)
+        b1 = qth_order_error_bound(inputs, x=0.8)
+        bq = qth_order_error_bound(replace(inputs, q=q), x=0.8)
         assert bq == pytest.approx(b1 / math.factorial(q - 1), rel=1e-13)
 
     def test_uniform_sup_ratio(self):

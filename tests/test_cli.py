@@ -56,7 +56,11 @@ class TestInitialProfileParsing:
         assert f(123.0) == pytest.approx(5.0)
 
     @pytest.mark.parametrize(
-        "bad", ["affine:1", "affine:1,2,3", "poly:", "gauss:1", "affine:a,b", ""]
+        "bad",
+        [
+            "affine:1", "affine:1,2,3", "poly:", "gauss:1", "affine:a,b", "",
+            "affine:1,nan", "poly:1,inf",
+        ],
     )
     def test_rejects_malformed_specs(self, bad):
         with pytest.raises(ConfigError):
@@ -487,6 +491,19 @@ class TestExitCodes:
     def test_cell_failure_exits_two(self, argv, capsys):
         assert main(argv) == 2
         assert "FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--L", "inf"), ("--tf", "inf"), ("--r1", "inf"), ("--r2", "inf"),
+            ("--f", "affine:1,nan"),
+        ],
+    )
+    def test_non_finite_problem_data_exits_one_before_output(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--Ny", "4", flag, value, "--out", str(out)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_grid_below_two_exits_one(self, tmp_path, capsys):
         out = tmp_path / "out"

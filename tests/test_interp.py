@@ -17,7 +17,6 @@ from gegopt.interp import (
     Interpolant2D,
     barycentric_basis,
     eval1d,
-    eval2d,
     eval2d_grid,
 )
 
@@ -169,7 +168,7 @@ class TestInterpolant2D:
         grid = eval2d_grid(p, ys, ts)
         for a, y in enumerate(ys):
             for b, t in enumerate(ts):
-                assert eval2d(p, y, t) == pytest.approx(grid[a, b], abs=1e-13)
+                assert eval2d_grid(p, [y], [t])[0, 0] == pytest.approx(grid[a, b], abs=1e-13)
 
     def test_grid_shape(self):
         p, _ = self.make_poly_interpolant()
@@ -178,14 +177,14 @@ class TestInterpolant2D:
     def test_domain_enforced_on_both_axes(self):
         p, _ = self.make_poly_interpolant()
         with pytest.raises(ValueError):
-            eval2d(p, 4.5, 0.5)
+            eval2d_grid(p, [4.5], [0.5])
         with pytest.raises(ValueError):
-            eval2d(p, 2.0, 1.5)
+            eval2d_grid(p, [2.0], [1.5])
 
     def test_time_boundary_evaluation_allowed(self):
         """t = 0 lies outside the open node span but inside the domain."""
         p, f = self.make_poly_interpolant()
-        assert eval2d(p, 2.0, 0.0) == pytest.approx(f(2.0, 0.0), abs=1e-10)
+        assert eval2d_grid(p, [2.0], [0.0])[0, 0] == pytest.approx(f(2.0, 0.0), abs=1e-10)
 
 
 @settings(deadline=None, max_examples=50)

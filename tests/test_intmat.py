@@ -27,8 +27,6 @@ from gegopt.intmat import (
     first_order_matrix,
     full_interval_vector,
     higher_order_matrix,
-    shift_matrix,
-    standard_first_order_matrix,
 )
 
 ALPHAS = [-0.4, -0.2, 0.0, 0.5, 0.9]
@@ -61,10 +59,10 @@ class TestFirstOrder:
         np.testing.assert_allclose(op.matrix.sum(axis=1), op.rule.nodes, atol=1e-13)
 
     def test_interval_metadata(self):
+        """An operator acts on its rule's interval [0, length]."""
         op = first_order_matrix(make_rule(length=4.0, degree=3))
-        assert op.interval == (0.0, 4.0)
+        assert op.rule.spec.length == 4.0
         assert op.order == 1
-        np.testing.assert_array_equal(op.op_nodes, op.rule.nodes)
 
 
 def exact_first_order_matrix(nodes: np.ndarray) -> np.ndarray:
@@ -167,40 +165,25 @@ class TestBlockedEvaluation:
 
 
 class TestStandardAndShift:
-    def test_standard_constant(self):
-        """On [-1, 1], integrating 1 from -1 gives z + 1 at the nodes."""
-        op = standard_first_order_matrix(make_rule(alpha=0.3, degree=5))
-        z = op.rule.standard_nodes
-        np.testing.assert_allclose(op.matrix @ np.ones(6), z + 1.0, atol=1e-13)
-        np.testing.assert_array_equal(op.op_nodes, z)
+    """The scaling law between intervals, on the public builder: the
+    operator of the same (alpha, n) rule on the standard-length interval
+    [0, 2], scaled by (length / 2)^q, is the direct build on [0, length]."""
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_shift_route_matches_direct_route(self, alpha):
-        """(length/2) scaling of the standard operator equals the direct build."""
-        rule = make_rule(alpha=alpha, length=4.0, degree=8)
-        direct = first_order_matrix(rule)
-        shifted = shift_matrix(standard_first_order_matrix(rule), 4.0)
-        np.testing.assert_allclose(shifted.matrix, direct.matrix, atol=1e-13)
+        direct = first_order_matrix(make_rule(alpha=alpha, length=4.0, degree=8))
+        standard = first_order_matrix(make_rule(alpha=alpha, length=2.0, degree=8))
+        np.testing.assert_allclose(2.0 * standard.matrix, direct.matrix, atol=1e-13)
         np.testing.assert_allclose(
-            shifted.full_interval_row, direct.full_interval_row, atol=1e-13
+            2.0 * standard.full_interval_row, direct.full_interval_row, atol=1e-13
         )
 
-    def test_shift_rejects_already_shifted(self):
-        op = first_order_matrix(make_rule(degree=3))
-        with pytest.raises(ValueError):
-            shift_matrix(op, 4.0)
-
-    def test_shift_rejects_bad_length(self):
-        op = standard_first_order_matrix(make_rule(degree=3))
-        with pytest.raises(ValueError):
-            shift_matrix(op, -1.0)
-
     def test_shift_scales_higher_order_by_power(self):
-        rule = make_rule(alpha=0.2, length=3.0, degree=6)
-        std2 = higher_order_matrix(standard_first_order_matrix(rule), 2)
-        shifted2 = shift_matrix(std2, 3.0)
-        direct2 = higher_order_matrix(first_order_matrix(rule), 2)
-        np.testing.assert_allclose(shifted2.matrix, direct2.matrix, atol=1e-12)
+        std2, direct2 = (
+            higher_order_matrix(first_order_matrix(make_rule(alpha=0.2, length=span, degree=6)), 2)
+            for span in (2.0, 3.0)
+        )
+        np.testing.assert_allclose(1.5**2 * std2.matrix, direct2.matrix, atol=1e-12)
 
 
 class TestHigherOrder:
@@ -237,7 +220,7 @@ class TestHigherOrder:
         """The in-place kernel weighting gives the bytes of
         P1 * (x_i - x_j)^(q-1) / (q-1)! evaluated with temporaries."""
         op1 = first_order_matrix(make_rule(alpha, 1.5, 33))
-        x = op1.op_nodes
+        x = op1.rule.nodes
         want = op1.matrix * (x[:, None] - x[None, :]) ** (q - 1) / math.factorial(q - 1)
         assert higher_order_matrix(op1, q).matrix.tobytes() == want.tobytes()
 

@@ -340,6 +340,11 @@ class TestProblemValidation:
             {"r1": -0.1},
             {"r2": 0.0},
             {"r2": -1.0},
+            {"length": float("inf")},
+            {"t_final": float("inf")},
+            {"r1": float("inf")},
+            {"r1": float("nan")},
+            {"r2": float("inf")},
         ],
     )
     def test_invalid_data_rejected(self, kwargs):
