@@ -23,7 +23,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -103,6 +103,13 @@ class RunConfig:
         if not self.sweep and len(cells) > 1:
             raise ConfigError("multiple cells requested without --sweep")
         return cells
+
+
+#: The `RunConfig` field of each command-line flag named otherwise; the
+#: flag's name is also the field's key in config.json.
+_FIELDS = {
+    "L": "length", "tf": "t_final", "f": "f_spec", "Ny": "n_y", "Nt": "n_t", "alpha": "alphas",
+}
 
 
 @dataclass(frozen=True)
@@ -343,20 +350,10 @@ def run_sweep(config: RunConfig) -> tuple[list[RunRecord], dict[tuple[int, int, 
                 _dump_matrices(out / f"matrices_{tag}", sol)
     if out is not None:
         _write_report(out / "report.csv", records)
-        echo = {
-            "L": config.length,
-            "tf": config.t_final,
-            "r1": config.r1,
-            "r2": config.r2,
-            "f": config.f_spec,
-            "Ny": list(config.n_y),
-            "Nt": list(config.n_t) if config.n_t is not None else None,
-            "alpha": list(config.alphas),
-            "sweep": config.sweep,
-            "eval_grid": config.eval_grid,
-            "dump_matrices": config.dump_matrices,
-            "version": __version__,
-        }
+        flags = {name: flag for flag, name in _FIELDS.items()}
+        echo = {flags.get(f.name, f.name): getattr(config, f.name) for f in fields(config)}
+        del echo["out"]
+        echo["version"] = __version__
         (out / "config.json").write_text(json.dumps(echo, indent=2) + "\n")
     return records, solutions
 
@@ -380,13 +377,15 @@ def _parse_range(token: str, cast):
     return [cast(round(v, 12)) for v in vals]
 
 
-def _collect(tokens: list[str] | None, cast) -> tuple | None:
-    if not tokens:
-        return None
-    out: list = []
-    for token in tokens:
-        out.extend(_parse_range(token, cast))
-    return tuple(out)
+def _values(cast):
+    """argparse type: the values of one `_parse_range` token, a ValueError
+    reported as an error of the flag."""
+    def parse(token: str) -> list:
+        try:
+            return _parse_range(token, cast)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -398,32 +397,30 @@ def _build_parser() -> _Parser:
     parser = _Parser(
         prog="gegopt",
         description="Spectral solver for diffusion optimal control; writes CSV reports.",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--L", type=float, default=RunConfig.length, help="domain length")
-    parser.add_argument("--tf", type=float, default=RunConfig.t_final, help="time horizon")
-    parser.add_argument("--r1", type=float, default=RunConfig.r1, help="state cost weight")
-    parser.add_argument("--r2", type=float, default=RunConfig.r2, help="control cost weight")
+    parser.add_argument("--L", type=float, help="domain length")
+    parser.add_argument("--tf", type=float, help="time horizon")
+    parser.add_argument("--r1", type=float, help="state cost weight")
+    parser.add_argument("--r2", type=float, help="control cost weight")
+    parser.add_argument("--f", help="initial profile: affine:a,b or poly:c0,c1,...")
     parser.add_argument(
-        "--f", default=RunConfig.f_spec, help="initial profile: affine:a,b or poly:c0,c1,..."
-    )
-    parser.add_argument(
-        "--Ny", action="append", default=None,
+        "--Ny", action="extend", type=_values(int),
         help="space grid size(s): value, range a:b[:s], or repeated",
     )
     parser.add_argument(
-        "--Nt", action="append", default=None,
+        "--Nt", action="extend", type=_values(int),
         help="time grid size(s); defaults to matching --Ny cell by cell",
     )
     parser.add_argument(
-        "--alpha", action="append", default=None,
+        "--alpha", action="extend", type=_values(float),
         help=f"family parameter(s) in the open window ({ALPHA_WINDOW[0]:g}, "
         f"{ALPHA_WINDOW[1]:g}): value, range a:b:s, or repeated",
     )
     parser.add_argument("--sweep", action="store_true", help="allow multi-cell runs")
-    parser.add_argument("--out", type=Path, default=None, help="output directory")
+    parser.add_argument("--out", type=Path, help="output directory")
     parser.add_argument(
-        "--eval-grid", type=int, default=RunConfig.eval_grid,
-        help="uniform samples per axis for scores and profiles",
+        "--eval-grid", type=int, help="uniform samples per axis for scores and profiles"
     )
     parser.add_argument(
         "--dump-matrices", action="store_true",
@@ -435,21 +432,11 @@ def _build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     try:
-        args = _build_parser().parse_args(argv)
-        config = RunConfig(
-            length=args.L,
-            t_final=args.tf,
-            r1=args.r1,
-            r2=args.r2,
-            f_spec=args.f,
-            n_y=_collect(args.Ny, int) or RunConfig.n_y,
-            n_t=_collect(args.Nt, int),
-            alphas=_collect(args.alpha, float) or RunConfig.alphas,
-            sweep=args.sweep,
-            out=args.out,
-            eval_grid=args.eval_grid,
-            dump_matrices=args.dump_matrices,
-        )
+        args = vars(_build_parser().parse_args(argv))
+        config = RunConfig(**{
+            _FIELDS.get(flag, flag): tuple(v) if isinstance(v, list) else v
+            for flag, v in args.items()
+        })
         records, _ = run_sweep(config)
     except (ValueError, TypeError) as exc:  # ConfigError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)

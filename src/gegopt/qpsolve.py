@@ -14,7 +14,7 @@ is the condensed saddle system [2 Qc, F'; F, 0] of (N_y + 3)(N_t + 1) rows,
 whose only constraints are the N_t + 1 flux rows.  The solver reads nothing
 but the factors, never the dense H or Q: b, c, j0 and the products with Q,
 H, H' and Qc are (N_t + 1) x (N_y + 2) matrix products of them, and its
-input checks ask that the factors be finite and Q's time factor symmetric.
+input check asks that the factors be finite.
 The flux rows have an explicit Kronecker null space, so the
 solver reduces the condensed system onto it and solves the reduced system,
 SPD for a sound cell, by conjugate gradients preconditioned with its
@@ -100,15 +100,10 @@ def _residual(qp: DiscreteQp, z: np.ndarray, lam: np.ndarray) -> tuple[np.ndarra
 
 
 def _check_factors(qp: DiscreteQp) -> None:
-    """A program's factors and data must be finite, and the time factor of
-    Q symmetric."""
+    """A program's factors and data must be finite."""
     for f in fields(qp):
-        value = getattr(qp, f.name)
-        if f.name != "grid" and not np.all(np.isfinite(value)):
+        if not np.all(np.isfinite(getattr(qp, f.name))):
             raise ValueError(f"non-finite entries in program factor {f.name}")
-    scale = max(1.0, float(np.max(np.abs(qp.q_t), initial=0.0)))
-    if float(np.max(np.abs(qp.q_t - qp.q_t.T), initial=0.0)) > 1e-12 * scale:
-        raise ValueError("cost factor q_t must be symmetric")
 
 
 def _preconditioner(qp: DiscreteQp, z_y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -303,8 +298,7 @@ def solve(qp: DiscreteQp) -> QpSolution:
     """Solve a transcribed QP through its factors by one correction step
     on the full saddle residual, taken twice from Z = lambda = 0; returns
     the minimum-norm first-order optimal point.  Raises ValueError for
-    non-finite or asymmetric factors and SolveError naming the step that
-    fails."""
+    non-finite factors and SolveError naming the step that fails."""
     _check_factors(qp)
     try:
         condensed = _Condensed(qp)

@@ -150,16 +150,26 @@ class DiscreteQp:
     kept by this instance alone; the solver reads neither.
     """
 
-    grid: GridIndexMap
     r1: float
     r2: float
     p1: np.ndarray
     a: np.ndarray
     w_t: np.ndarray
     w_y: np.ndarray
-    q_t: np.ndarray
     f: np.ndarray
     f0: float
+
+    @cached_property
+    def grid(self) -> GridIndexMap:
+        """The grid, read from the shapes of A (N_y + 1 rows) and P1."""
+        return GridIndexMap(self.a.shape[0] - 1, self.p1.shape[0] - 1)
+
+    @cached_property
+    def q_t(self) -> np.ndarray:
+        """Q's time factor P1' W_t P1, symmetrized so that Q is exactly
+        symmetric."""
+        gram_t = self.p1.T @ (self.w_t[:, None] * self.p1)
+        return 0.5 * (gram_t + gram_t.T)
 
     @cached_property
     def mismatch(self) -> np.ndarray:
@@ -235,36 +245,50 @@ class DiscreteQp:
 
 @dataclass(frozen=True)
 class Transcription:
-    """The rules and operators of a transcribed problem.
+    """A transcribed problem: its data and the first-order operators of its
+    two rules, from which the rules, the grid, P2 and the program are read.
 
     Nothing of O(N^4) size is stored: each read of `qp` gives a fresh
     program, whose dense H and Q are expanded, bit for bit, when first read.
+    The grid and P2 are formed when the transcription is made.
     """
 
     ocp: DiffusionOcp
-    grid: GridIndexMap
-    rule_y: QuadratureRule
-    rule_t: QuadratureRule
     op_y1: IntegrationOperator
-    op_y2: IntegrationOperator
     op_t1: IntegrationOperator
 
     def __post_init__(self) -> None:
-        _check_operator(self.op_y1, 1, self.grid.n_y + 1, self.ocp.length)
-        _check_operator(self.op_y2, 2, self.grid.n_y + 1, self.ocp.length)
-        _check_operator(self.op_t1, 1, self.grid.n_t + 1, self.ocp.t_final)
+        for op, length in ((self.op_y1, self.ocp.length), (self.op_t1, self.ocp.t_final)):
+            if op.order != 1:
+                raise ValueError(f"expected an order-1 operator, got order {op.order}")
+            if abs(op.rule.spec.length - length) > 1e-12 * max(1.0, length):
+                raise ValueError(f"operator length {op.rule.spec.length} does not match {length}")
+        self.grid, self.op_y2  # a grid without interior nodes fails here
+
+    @property
+    def rule_y(self) -> QuadratureRule:
+        return self.op_y1.rule
+
+    @property
+    def rule_t(self) -> QuadratureRule:
+        return self.op_t1.rule
+
+    @cached_property
+    def grid(self) -> GridIndexMap:
+        return GridIndexMap(self.rule_y.spec.degree, self.rule_t.spec.degree)
+
+    @cached_property
+    def op_y2(self) -> IntegrationOperator:
+        return higher_order_matrix(self.op_y1, 2)
 
     @property
     def qp(self) -> DiscreteQp:
-        """The program's factors.  Q's time factor P1' W_t P1 is symmetrized
-        so that Q is exactly symmetric; its space factor is diag([w_y, 0])."""
-        p1, e = self.op_t1.matrix, _interior(self.grid)
-        w_y, w_t = self.op_y1.full_interval_row, self.op_t1.full_interval_row
-        gram_t = p1.T @ (w_t[:, None] * p1)
+        """The program's factors."""
         return DiscreteQp(
-            grid=self.grid, r1=self.ocp.r1, r2=self.ocp.r2, p1=p1, a=self.op_y2.matrix @ e,
-            w_t=w_t, w_y=w_y, q_t=0.5 * (gram_t + gram_t.T),
-            f=_profile(self.ocp, self.op_y2.rule.nodes), f0=float(self.ocp.initial(0.0)),
+            r1=self.ocp.r1, r2=self.ocp.r2, p1=self.op_t1.matrix,
+            a=self.op_y2.matrix @ _interior(self.grid),
+            w_t=self.op_t1.full_interval_row, w_y=self.op_y1.full_interval_row,
+            f=_profile(self.ocp, self.rule_y.nodes), f0=float(self.ocp.initial(0.0)),
         )
 
 
@@ -272,15 +296,6 @@ def _rows(phi, u, a, p1, c, w) -> np.ndarray:
     """Dynamics rows phi A' + P1 (phi + u) C', then flux rows phi E w."""
     dyn = phi @ a.T + p1 @ ((phi + u) @ c.T)
     return np.concatenate([dyn.ravel(), phi[:, :-1] @ w])
-
-
-def _check_operator(op: IntegrationOperator, order: int, size: int, length: float) -> None:
-    if op.order != order:
-        raise ValueError(f"expected an order-{order} operator, got order {op.order}")
-    if op.matrix.shape != (size, size):
-        raise ValueError(f"operator size {op.matrix.shape} does not match grid ({size})")
-    if abs(op.rule.spec.length - length) > 1e-12 * max(1.0, length):
-        raise ValueError(f"operator length {op.rule.spec.length} does not match {length}")
 
 
 def _interior(grid: GridIndexMap) -> np.ndarray:
@@ -419,8 +434,4 @@ def recover_state(z: np.ndarray, qp: DiscreteQp) -> np.ndarray:
 def build(ocp: DiffusionOcp, rule_y: QuadratureRule, rule_t: QuadratureRule) -> Transcription:
     """Full pipeline from problem data and rules to the operators of the QP;
     the program itself is read from the result (`qp`)."""
-    grid = GridIndexMap(rule_y.spec.degree, rule_t.spec.degree)
-    op_y1 = first_order_matrix(rule_y)
-    op_y2 = higher_order_matrix(op_y1, 2)
-    op_t1 = first_order_matrix(rule_t)
-    return Transcription(ocp, grid, rule_y, rule_t, op_y1, op_y2, op_t1)
+    return Transcription(ocp, first_order_matrix(rule_y), first_order_matrix(rule_t))

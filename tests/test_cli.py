@@ -371,6 +371,20 @@ class TestMainOutputs:
         alphas = [line.split()[2] for line in capsys.readouterr().out.splitlines()]
         assert alphas == ["alpha=0:", "alpha=0.4:", "alpha=0.8:", "alpha=1.2:", "alpha=1.6:"]
 
+    def test_config_echo_pins_every_key(self, tmp_path):
+        """config.json holds every RunConfig field but `out`, in field order,
+        each under its flag's name, then the version."""
+        args = ["--L", "3", "--tf", "2", "--r1", "1", "--r2", "0.25", "--f", "poly:1,0,2",
+                "--Ny", "3:4", "--Nt", "3", "--alpha=-0.2", "--alpha", "0.5", "--sweep",
+                "--eval-grid", "11", "--dump-matrices", "--out", str(tmp_path)]
+        assert main(args) == 0
+        echo = json.loads((tmp_path / "config.json").read_text())
+        assert list(echo.items()) == [
+            ("L", 3.0), ("tf", 2.0), ("r1", 1.0), ("r2", 0.25), ("f", "poly:1,0,2"),
+            ("Ny", [3, 4]), ("Nt", [3]), ("alpha", [-0.2, 0.5]), ("sweep", True),
+            ("eval_grid", 11), ("dump_matrices", True), ("version", gegopt.__version__),
+        ]
+
     def test_mixed_grid_tag(self, tmp_path):
         args = ["--Ny", "4", "--Nt", "3", "--eval-grid", "11",
                 "--out", str(tmp_path)]
@@ -486,6 +500,17 @@ class TestExitCodes:
     def test_configuration_failures_exit_one(self, argv, capsys):
         assert main(argv) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "token, cause",
+        [
+            ("4:3", "range '4:3' must ascend with positive step"),
+            ("abc", "invalid literal for int() with base 10: 'abc'"),
+        ],
+    )
+    def test_bad_grid_token_names_its_flag(self, token, cause, capsys):
+        assert main(["--Ny", token]) == 1
+        assert capsys.readouterr().err == f"configuration error: argument --Ny: {cause}\n"
 
     @pytest.mark.parametrize("argv", [["--Ny", "0"]])
     def test_cell_failure_exits_two(self, argv, capsys):

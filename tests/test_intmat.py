@@ -141,7 +141,6 @@ class TestBlockedEvaluation:
             (rule.nodes, length, 0.0, rule.nodes),
             (rule.nodes, length, 0.0, np.array([length])),
             (rule.nodes, length, 0.0, rule.nodes[[degree // 2]]),
-            (z, 2.0, -1.0, z),
             (z, 2.0, -1.0, np.array([1.0])),
         ]
         for nodes, span, lower, uppers in calls:

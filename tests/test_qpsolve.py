@@ -48,14 +48,6 @@ class TestErrorPaths:
         with pytest.raises(ValueError, match="non-finite entries in program factor f"):
             solve(with_factors(tr, f=f))
 
-    def test_asymmetric_cost_rejected(self):
-        tr = transcription(4, 4)
-        q_t = tr.qp.q_t.copy()
-        q_t[0, 1] += 0.5 * np.abs(q_t).max()
-        with pytest.raises(ValueError, match="cost factor q_t must be symmetric"):
-            solve(with_factors(tr, q_t=q_t))
-
-
     def test_singular_time_operator_named(self):
         """D = P1^-1 is set up with the preconditioner and fails like it."""
         tr = transcription(4, 4)

@@ -21,7 +21,7 @@ from conftest import null_space_oracle, reachable_arrays
 from gegopt import transcribe
 from gegopt.polycore import BasisSpec
 from gegopt.nodes import sgg_rule
-from gegopt.intmat import first_order_matrix, higher_order_matrix
+from gegopt.intmat import first_order_matrix
 from gegopt.qpsolve import solve
 from gegopt.transcribe import (
     DiffusionOcp,
@@ -162,21 +162,23 @@ class TestDynamicsAssembly:
         assert qp.b.shape == (rows + tr.grid.n_t + 1,)
 
     def test_operator_validation(self):
-        """A transcription checks each operator's order, size and interval
-        when it is made, so the program its assemblers take is sound."""
+        """A transcription checks each operator's order and interval when it
+        is made, so the program its assemblers take is sound."""
         tr = make_transcription(n_y=4, n_t=3)
-        with pytest.raises(ValueError):
-            replace(tr, op_y2=tr.op_y1)  # wrong order
-        wrong_size = higher_order_matrix(
-            first_order_matrix(sgg_rule(BasisSpec(alpha=0.0, length=L, degree=7))), 2
-        )
-        with pytest.raises(ValueError):
-            replace(tr, op_y2=wrong_size)
-        wrong_interval = higher_order_matrix(
-            first_order_matrix(sgg_rule(BasisSpec(alpha=0.0, length=2.0, degree=4))), 2
-        )
-        with pytest.raises(ValueError):
-            replace(tr, op_y2=wrong_interval)
+        with pytest.raises(ValueError, match="expected an order-1 operator, got order 2"):
+            replace(tr, op_y1=tr.op_y2)
+        wrong_interval = first_order_matrix(sgg_rule(BasisSpec(alpha=0.0, length=2.0, degree=4)))
+        with pytest.raises(ValueError, match="operator length 2.0 does not match 4.0"):
+            replace(tr, op_y1=wrong_interval)
+
+    def test_operator_brings_its_rule(self):
+        """The rule, grid and P2 of y are read from op_y1: an operator on
+        another rule of the same size gives the transcription of that rule."""
+        tr = make_transcription(n_y=6, n_t=6)
+        rule = sgg_rule(BasisSpec(alpha=0.9, length=L, degree=6))
+        swapped = replace(tr, op_y1=first_order_matrix(rule))
+        assert swapped.rule_y is rule and swapped.op_y2.rule is rule
+        assert solve(swapped.qp).j == solve(build(tr.ocp, rule, tr.rule_t).qp).j
 
 
 class TestBoundaryRows:
