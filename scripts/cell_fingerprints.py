@@ -3,7 +3,9 @@
 """Solve every cell and make every operator build that the benchmark does,
 and write one SHA-256 per cell and per build to OUT.json, so that two
 checkouts can be compared for byte-identical results of all three workloads
-with one diff.
+with one diff.  A solved cell's value reads "<sha256> J=<repr(J)>
+iterations=<n>", so the diff also shows how far J and the CG step count
+moved where the bytes differ.
 
 The cells are the paper_sweep grid (N = 4..12 by 14 alphas), the
 ladder_large cells N = 16, 24, 32 at alpha = 0 and the warm-up cell, each at
@@ -54,7 +56,8 @@ def _digest(outcome) -> str:
 
 def fingerprint(n: int, cell) -> str:
     """SHA-256 of a solved cell, the (record, solution) pair of
-    `run_single`, or of the exception it raised."""
+    `run_single`, followed by its J and CG iteration count, or SHA-256 of
+    the exception it raised."""
     if isinstance(cell, Exception):
         return _digest(cell)
     record, sol = cell
@@ -65,7 +68,8 @@ def fingerprint(n: int, cell) -> str:
     ]
     if n <= DENSE_N:
         sources.append((sol.transcription.qp, ("H", "Q", "b", "c", "j0")))
-    return _digest([(name, getattr(source, name)) for source, names in sources for name in names])
+    digest = _digest([(name, getattr(source, name)) for source, names in sources for name in names])
+    return f"{digest} J={float(record.j)!r} iterations={sol.qp_solution.iterations}"
 
 
 def operator_fingerprint(build) -> str:

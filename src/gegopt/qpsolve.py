@@ -13,8 +13,9 @@ phi and u at y = 0 enter only through their sum, split evenly.  What is left
 is the condensed saddle system [2 Qc, F'; F, 0] of (N_y + 3)(N_t + 1) rows,
 whose only constraints are the N_t + 1 flux rows.  The solver reads nothing
 but the factors, never the dense H or Q: b, c, j0 and the products with Q,
-H, H' and Qc are (N_t + 1) x (N_y + 2) matrix products of them, and its
-input check asks that the factors be finite.
+H and H' are (N_t + 1) x (N_y + 2) matrix products of them, the condensed
+Hessian is the product with Q taken between the condensing map and its
+adjoint, and the input check asks that the factors be finite.
 The flux rows have an explicit Kronecker null space, so the
 solver reduces the condensed system onto it and solves the reduced system,
 SPD for a sound cell, by conjugate gradients preconditioned with its
@@ -206,23 +207,24 @@ class _Condensed:
     with A = P2 E, B = 1 e_b', C = B - E and D = P1^-1; for the transcribed
     r = f(y_i) - f(0) the state is x = f(0) + G zeta.  phi_b and u_b each
     take v / 2, the minimum-norm split, so the N_t + 1 null directions that
-    split v are stated, not discovered.  The condensed Hessian
-    Qc = r1 G' W G + r2 K' W K, W = W_t (x) W_y, is a sum of eight Kronecker
-    products, each an (N_t + 1)^2 time factor times an (N_y + 2)^2 space
-    factor, and the only constraints left are the N_t + 1 flux rows
+    split v are stated, not discovered.  With T the linear part of this map
+    from zeta to Z (`lift`) and T' its adjoint (`pull`), the condensed
+    Hessian is 2 Qc = T' (2 Q) T, applied through the program's own Q
+    product, and the only constraints left are the N_t + 1 flux rows
     F zeta = zeta f, f = [w_y; 0].
 
     Z_y, the last N_y + 1 columns of the Householder reflection that takes
     f to a multiple of e_0, is an orthonormal basis of f's complement, so
     zeta = g f' / |f|^2 + Y Z_y' for flux rows F zeta = g.  Y solves the
-    reduced system (2 Qc (Y Z_y')) Z_y = (r - 2 Qc zeta_g) Z_y by CG
-    preconditioned with the exact control term, and the flux multipliers are
-    mu = (r - 2 Qc zeta) f / |f|^2 per time row.  Raises LinAlgError when
-    D or the preconditioner cannot be set up."""
+    reduced system (2 Qc (Y Z_y')) Z_y = -T' (2 Q lift(zeta_g, r) + c) Z_y
+    by CG preconditioned with the exact control term, and the flux
+    multipliers are mu = -(T' g) f / |f|^2 per time row, g = 2 Q Z + c the
+    gradient at the solution.  Raises LinAlgError when D or the
+    preconditioner cannot be set up."""
 
     def __init__(self, qp: DiscreteQp):
         self.qp = qp
-        self.d, self.c = np.linalg.inv(qp.p1), qp.mismatch
+        self.d = np.linalg.inv(qp.p1)
         if not np.all(np.isfinite(self.d)):
             raise np.linalg.LinAlgError("P1^-1 is not finite")
         self.f = np.append(qp.w_y, 0.0)
@@ -237,7 +239,7 @@ class _Condensed:
         phi = zeta.copy()
         phi[:, -1] *= 0.5
         u = np.empty_like(phi)
-        u[:, :-1] = self.d @ (zeta @ self.qp.a.T - r) + zeta @ self.c.T
+        u[:, :-1] = self.d @ (zeta @ self.qp.a.T - r) + zeta @ self.qp.mismatch.T
         u[:, -1] = phi[:, -1]
         return np.concatenate([phi.ravel(), u.ravel()])
 
@@ -248,25 +250,12 @@ class _Condensed:
         out = phi.copy()
         out[:, -1] = 0.5 * (phi[:, -1] + u[:, -1])
         u_int = u[:, :-1]
-        out += self.d.T @ u_int @ self.qp.a + u_int @ self.c
+        out += self.d.T @ u_int @ self.qp.a + u_int @ self.qp.mismatch
         return out
 
     def hessian(self, zeta: np.ndarray) -> np.ndarray:
-        """2 Qc zeta, the condensed Hessian r1 G' W G + r2 K' W K applied as
-        (N_t + 1) x (N_y + 2) matrix products: G zeta = zeta A' + P1 zeta B',
-        K zeta = D zeta A' + zeta C', G' chi = chi A + P1' chi B and
-        K' chi = D' chi A + chi C, with W = w_t w_y' entrywise.  B = 1 e_b'
-        reads only the y = 0 slot v of zeta and writes only that slot of
-        G' chi."""
-        qp = self.qp
-        w = qp.w_t[:, None] * qp.w_y
-        za, v = zeta @ qp.a.T, zeta[:, -1:]
-        state = qp.r1 * w * (za + qp.p1 @ v)
-        control = qp.r2 * w * (self.d @ za + v - zeta[:, :-1])
-        out = (state + self.d.T @ control) @ qp.a
-        out[:, :-1] -= control
-        out[:, -1] += qp.p1.T @ state.sum(axis=1) + control.sum(axis=1)
-        return 2.0 * out
+        """2 Qc zeta = T' (2 Q) T zeta."""
+        return self.pull(2.0 * self.qp.q_mul(self.lift(zeta, 0.0)))
 
     def solve(
         self, c: np.ndarray, b: np.ndarray, step: str
@@ -274,23 +263,23 @@ class _Condensed:
         """(Z, lambda, CG alphas, CG betas) minimizing Z' Q Z + c' Z over
         H Z = b; CG failing raises SolveError naming `step`.
 
-        Z_p solves the dynamics rows with zeta = 0, and r = -T' (2 Q Z_p + c)
-        is the condensed right-hand side.  The dynamics multipliers follow
-        from the stationarity rows of the interior control,
-        (2 Q Z + c)_Eu = (P1' (x) I) lambda_d: one P1' solve."""
+        zeta_g meets the flux rows of b and r_d holds b's dynamics rows, so
+        the reduced right-hand side is -T' (2 Q lift(zeta_g, r_d) + c) Z_y.  The
+        multipliers are read off the one gradient g = 2 Q Z + c: the flux
+        multipliers are mu = -(T' g) f / |f|^2, and the dynamics multipliers
+        follow from the stationarity rows of the interior control,
+        g_Eu = (P1' (x) I) lambda_d: one P1' solve."""
         qp, n_t = self.qp, self.qp.grid.n_t + 1
-        z_p = self.lift(np.zeros((n_t, qp.grid.n_y + 2)), b[:-n_t].reshape(n_t, -1))
-        r = -self.pull(2.0 * qp.q_mul(z_p) + c)
+        r_d = b[:-n_t].reshape(n_t, -1)
         zeta = np.outer(b[-n_t:] / self.f2, self.f)
-        r_y = (r - self.hessian(zeta)) @ self.z_y
+        rhs = -self.pull(2.0 * qp.q_mul(self.lift(zeta, r_d)) + c) @ self.z_y
         y, alphas, betas = _pcg(
-            lambda y: self.hessian(y @ self.z_y.T) @ self.z_y, self.precondition, r_y, step
+            lambda y: self.hessian(y @ self.z_y.T) @ self.z_y, self.precondition, rhs, step
         )
-        zeta += y @ self.z_y.T
-        mu = (r - self.hessian(zeta)) @ self.f / self.f2
-        z = z_p + self.lift(zeta, 0.0)
-        g = qp.grid.blocks(2.0 * qp.q_mul(z) + c)
-        lam_d = np.linalg.solve(qp.p1.T, g[1, :, :-1])
+        z = self.lift(zeta + y @ self.z_y.T, r_d)
+        g = 2.0 * qp.q_mul(z) + c
+        mu = -self.pull(g) @ self.f / self.f2
+        lam_d = np.linalg.solve(qp.p1.T, qp.grid.blocks(g)[1, :, :-1])
         return z, np.concatenate([lam_d.ravel(), mu]), alphas, betas
 
 

@@ -35,6 +35,16 @@ def reference_qp(n: int, alpha: float = 0.0) -> DiscreteQp:
     return transcription(n, n, alpha).qp
 
 
+def long_horizon_qp(n: int) -> DiscreteQp:
+    """The badly conditioned cell t_f = 100, r1 = 50, r2 = 0.5, alpha = 0:
+    the reduced system's condition number is 1 + (r1/r2)(2 t_f/pi)^2,
+    4.05e5."""
+    ocp = DiffusionOcp(length=4.0, t_final=100.0, r1=50.0, r2=0.5, initial=lambda y: 1.0 + y)
+    rule_y = sgg_rule(BasisSpec(alpha=0.0, length=4.0, degree=n))
+    rule_t = sgg_rule(BasisSpec(alpha=0.0, length=100.0, degree=n))
+    return build(ocp, rule_y, rule_t).qp
+
+
 def with_factors(tr: Transcription, **factors) -> DiscreteQp:
     """The transcribed program with some of its factors replaced."""
     return dataclasses.replace(tr.qp, **factors)
@@ -100,6 +110,17 @@ class TestNullSpaceOracle:
         np.testing.assert_allclose(sol.z, z_ref, rtol=0, atol=1e-9)
         assert sol.j == pytest.approx(j_ref, rel=1e-13)
         assert sol.iterations > 0
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_long_horizon(self, n):
+        """CG takes a few hundred steps here, and the condensed Hessian
+        carries D = P1^-1 into the state term; the answer still agrees with
+        the dense elimination."""
+        qp = long_horizon_qp(n)
+        sol = solve(qp)
+        z_ref, _, j_ref = null_space_oracle(qp)
+        assert sol.j == pytest.approx(j_ref, rel=1e-11)
+        np.testing.assert_allclose(sol.z, z_ref, rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("scale", [1e9, 1e12])
     def test_large_constant_profile(self, scale):
@@ -197,10 +218,7 @@ class TestCondensedSolve:
         """At t_f = 100, r1 = 50 CG takes about 160 steps on the N = 8 grid,
         and the Ritz values of all of them put kkt_condition within 5% of
         1 + (r1/r2)(2 t_f/pi)^2, 4.05e5."""
-        ocp = DiffusionOcp(length=4.0, t_final=100.0, r1=50.0, r2=0.5, initial=lambda y: 1.0 + y)
-        rule_y = sgg_rule(BasisSpec(alpha=0.0, length=4.0, degree=8))
-        rule_t = sgg_rule(BasisSpec(alpha=0.0, length=100.0, degree=8))
-        sol = solve(build(ocp, rule_y, rule_t).qp)
+        sol = solve(long_horizon_qp(8))
         want = 1.0 + (50.0 / 0.5) * (2.0 * 100.0 / np.pi) ** 2
         assert sol.kkt_condition == pytest.approx(want, rel=0.05)
 
