@@ -5,9 +5,9 @@ sets of a shifted Gegenbauer family, replaces differentiation by stable
 numerical integration operators, and solves the resulting
 equality-constrained quadratic program.  See the individual modules:
 
-- polycore:   the polynomial family and its leading coefficients
+- polycore:   the polynomial family and its three-term recurrence
 - nodes:      Gauss rules, Christoffel numbers, barycentric weights
-- interp:     barycentric interpolation in one and two dimensions
+- interp:     barycentric cardinal rows and tensor-grid interpolation
 - intmat:     running-integral operators of arbitrary order
 - transcribe: the diffusion control problem as a QP held by its Kronecker
               factors (`DiscreteQp`)

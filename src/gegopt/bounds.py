@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -33,7 +32,6 @@ __all__ = [
     "dynamics_residual_bound",
     "asymptotic_shape",
     "fit_shape_constant",
-    "estimate_derivative_sup",
 ]
 
 _LOG2 = math.log(2.0)
@@ -199,42 +197,3 @@ def fit_shape_constant(
     if not samples:
         raise ValueError("at least one sample is required")
     return max(err / asymptotic_shape(n, length, x, alpha, q) for n, x, err in samples)
-
-
-def _divided_difference(xs: np.ndarray, ys: np.ndarray) -> float:
-    table = np.array(ys, dtype=float)
-    m = xs.size
-    for level in range(1, m):
-        table[: m - level] = (table[1 : m - level + 1] - table[: m - level]) / (
-            xs[level:] - xs[: m - level]
-        )
-    return float(table[0])
-
-
-#: Half-width windows sampled besides the whole interval.
-_N_WINDOWS = 8
-
-
-def estimate_derivative_sup(f: Callable[[float], float], lo: float, hi: float, order: int) -> float:
-    """Rough numerical estimate of sup |f^(order)| on [lo, hi].
-
-    Samples order-th divided differences (times order!) on Chebyshev-spaced
-    windows.  This is an estimate for exploratory use, not a certified
-    bound; prefer an analytic sup when one is available.
-    """
-    if order < 1 or int(order) != order:
-        raise ValueError("derivative order must be a positive integer")
-    if not hi > lo:
-        raise ValueError("empty estimation interval")
-    fact = math.factorial(order)
-    angles = np.cos(np.arange(order + 1) * math.pi / order)[::-1]
-    width = 0.5 * (hi - lo)
-    windows = [(lo, hi - lo)] + [
-        (lo + k * (hi - lo - width) / (_N_WINDOWS - 1), width) for k in range(_N_WINDOWS)
-    ]
-    best = 0.0
-    for start, span in windows:
-        xs = start + 0.5 * span + 0.5 * span * angles
-        ys = np.array([f(v) for v in xs])
-        best = max(best, abs(_divided_difference(xs, ys) * fact))
-    return best

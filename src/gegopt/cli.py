@@ -81,6 +81,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.eval_grid < 2:
             raise ConfigError("eval grid needs at least two sample points")
+        for n in (*self.n_y, *(self.n_t or ())):
+            if n < 1:
+                raise ConfigError(f"grid size {n} is below 1")
         low, high = ALPHA_WINDOW
         for alpha in self.alphas:
             if not low < alpha < high:
@@ -360,7 +363,8 @@ def run_sweep(config: RunConfig) -> tuple[list[RunRecord], dict[tuple[int, int, 
 
 def _parse_range(token: str, cast):
     """One value, or an inclusive range 'start:stop[:step]', which never
-    passes its stop."""
+    passes its stop; a range value that `cast` would change (6.5 for int)
+    is an error, not truncated."""
     if ":" not in token:
         return [cast(token)]
     parts = token.split(":")
@@ -373,8 +377,11 @@ def _parse_range(token: str, cast):
     if step <= 0 or stop < start:
         raise ConfigError(f"range {token!r} must ascend with positive step")
     count = int((stop - start) / step + 1e-9) + 1
-    vals = [start + k * step for k in range(count)]
-    return [cast(round(v, 12)) for v in vals]
+    vals = [round(start + k * step, 12) for k in range(count)]
+    for v in vals:
+        if cast(v) != v:
+            raise ConfigError(f"range {token!r} gives {v:g}, which is not a whole number")
+    return [cast(v) for v in vals]
 
 
 def _values(cast):

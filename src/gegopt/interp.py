@@ -1,5 +1,5 @@
-"""Barycentric Lagrange interpolation on Gauss node sets, in one and two
-dimensions.
+"""Barycentric Lagrange interpolation on Gauss node sets: the cardinal rows
+of one node set, and tensor-product interpolants on space x time grids.
 
 Evaluation uses the second (true) barycentric form, which is
 scale-invariant in the weights and backward stable.  Query points that land
@@ -16,10 +16,8 @@ import numpy as np
 from .nodes import QuadratureRule
 
 __all__ = [
-    "Interpolant1D",
     "Interpolant2D",
     "barycentric_basis",
-    "eval1d",
     "eval2d_grid",
 ]
 
@@ -55,18 +53,6 @@ def barycentric_basis(
 
 
 @dataclass(frozen=True)
-class Interpolant1D:
-    """Samples on a rule's nodes, evaluated anywhere in [0, length]."""
-
-    rule: QuadratureRule
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.shape(self.values) != np.shape(self.rule.nodes):
-            raise ValueError("one sample per node is required")
-
-
-@dataclass(frozen=True)
 class Interpolant2D:
     """Tensor-product interpolant on a space rule x time rule grid.
 
@@ -87,16 +73,6 @@ def _check_domain(points: np.ndarray, length: float) -> None:
     tol = COINCIDENCE_TOL * max(1.0, length)
     if np.any(points < -tol) or np.any(points > length + tol):
         raise ValueError(f"evaluation point outside [0, {length}]")
-
-
-def eval1d(p: Interpolant1D, x):
-    """Evaluate a 1-D interpolant; x may be a scalar or an array."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    length = p.rule.spec.length
-    _check_domain(x_arr, length)
-    basis = barycentric_basis(p.rule.nodes, p.rule.bary_weights, x_arr, length)
-    out = basis @ p.values
-    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def eval2d_grid(p: Interpolant2D, ys, ts) -> np.ndarray:

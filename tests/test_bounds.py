@@ -24,7 +24,6 @@ from gegopt.bounds import (
     BoundInputs,
     asymptotic_shape,
     dynamics_residual_bound,
-    estimate_derivative_sup,
     first_order_error_bound,
     fit_shape_constant,
     qth_order_error_bound,
@@ -427,23 +426,6 @@ class TestAsymptoticShape:
     def test_fit_constant_rejects_empty(self):
         with pytest.raises(ValueError):
             fit_shape_constant([], 1.0, 0.0)
-
-
-class TestDerivativeSupEstimate:
-    def test_exact_on_polynomials(self):
-        assert estimate_derivative_sup(lambda x: x ** 3, 0.0, 2.0, 3) == pytest.approx(
-            6.0, rel=1e-9
-        )
-        assert estimate_derivative_sup(lambda x: x ** 5, 0.0, 1.0, 5) == pytest.approx(
-            120.0, rel=1e-7
-        )
-
-    def test_smooth_function_brackets(self):
-        # mean-value sampling cannot exceed the true sup and stays near it
-        est = estimate_derivative_sup(np.exp, 0.0, 1.0, 4)
-        assert 1.0 <= est <= math.e
-        est = estimate_derivative_sup(np.sin, 0.0, math.pi, 2)
-        assert 0.5 <= est <= 1.0 + 1e-9
 
 
 class TestValidation:

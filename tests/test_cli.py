@@ -201,16 +201,15 @@ class TestRunSweep:
         assert (5, 5, 0.1) in solutions
 
     def test_failed_cell_recorded_not_raised(self):
-        config = RunConfig(n_y=(0, 4), sweep=True)
+        # So close to the window's lower edge the refined residual stays far
+        # above round-off, so that cell fails in the solve.
+        config = RunConfig(n_y=(4,), alphas=(-0.4999999, 0.0), sweep=True)
         records, solutions = run_sweep(config)
         assert len(records) == 2
         failed = [r for r in records if r.error]
         assert len(failed) == 1
-        assert failed[0].n_y == 0
-        assert failed[0].error == (
-            "stage 'transcribe' failed for N_y=0, N_t=0, alpha=0.0: "
-            "grid needs at least one interior node per axis"
-        )
+        assert failed[0].alpha == -0.4999999
+        assert failed[0].error.startswith("refined residual is not at round-off: stationarity ")
         assert math.isnan(failed[0].j)
         assert (4, 4, 0.0) in solutions
 
@@ -226,16 +225,15 @@ class TestRunSweep:
             run_sweep(RunConfig(n_y=(4, 6), out=out))
         assert not out.exists()
 
-    def test_failure_text_reads_back_from_report(self, tmp_path):
+    def test_failure_text_reads_back_from_report(self, tmp_path, capsys):
         # The message contains commas, so report.csv must quote it.
-        assert main(["--Ny", "0", "--out", str(tmp_path)]) == 2
+        assert main(["--Ny", "4", "--alpha=-0.4999999", "--out", str(tmp_path)]) == 2
+        printed = capsys.readouterr().out.strip().split("FAILED: ", 1)[1]
+        assert ", constraints " in printed
         with (tmp_path / "report.csv").open(newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 2
-        assert rows[1][-1] == (
-            "stage 'transcribe' failed for N_y=0, N_t=0, alpha=0.0: "
-            "grid needs at least one interior node per axis"
-        )
+        assert rows[1][-1] == printed
 
 
 class TestAlphaWindow:
@@ -495,6 +493,8 @@ class TestExitCodes:
             ["--Ny", "4", "--Ny", "6"],  # multiple cells, no --sweep
             ["--r2", "0"],
             ["--Ny", "4:3"],  # descending range
+            ["--Ny", "0"],
+            ["--Ny", "4", "--Nt", "0"],
         ],
     )
     def test_configuration_failures_exit_one(self, argv, capsys):
@@ -506,13 +506,14 @@ class TestExitCodes:
         [
             ("4:3", "range '4:3' must ascend with positive step"),
             ("abc", "invalid literal for int() with base 10: 'abc'"),
+            ("4:8:2.5", "range '4:8:2.5' gives 6.5, which is not a whole number"),
         ],
     )
     def test_bad_grid_token_names_its_flag(self, token, cause, capsys):
         assert main(["--Ny", token]) == 1
         assert capsys.readouterr().err == f"configuration error: argument --Ny: {cause}\n"
 
-    @pytest.mark.parametrize("argv", [["--Ny", "0"]])
+    @pytest.mark.parametrize("argv", [["--r2", "1e-300"]])
     def test_cell_failure_exits_two(self, argv, capsys):
         assert main(argv) == 2
         assert "FAILED" in capsys.readouterr().out

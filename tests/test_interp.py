@@ -1,4 +1,4 @@
-"""Tests for barycentric Lagrange interpolation in one and two dimensions."""
+"""Tests for barycentric Lagrange interpolation on Gauss node sets."""
 
 from __future__ import annotations
 
@@ -12,13 +12,7 @@ from conftest import reference_barycentric_basis
 
 from gegopt.polycore import BasisSpec
 from gegopt.nodes import sgg_rule
-from gegopt.interp import (
-    Interpolant1D,
-    Interpolant2D,
-    barycentric_basis,
-    eval1d,
-    eval2d_grid,
-)
+from gegopt.interp import Interpolant2D, barycentric_basis, eval2d_grid
 
 
 def make_rule(alpha=0.0, length=4.0, degree=8):
@@ -95,51 +89,6 @@ class TestBarycentricBasis:
             barycentric_basis(nodes, np.ones_like(nodes), np.array([0.5]), 2.0)
 
 
-class TestInterpolant1D:
-    def test_shape_mismatch_rejected(self):
-        rule = make_rule(degree=3)
-        with pytest.raises(ValueError):
-            Interpolant1D(rule, np.zeros(3))
-
-    def test_node_round_trip(self, rng):
-        rule = make_rule(alpha=-0.2, degree=7)
-        vals = rng.normal(size=8)
-        p = Interpolant1D(rule, vals)
-        np.testing.assert_allclose(eval1d(p, rule.nodes), vals, atol=1e-14)
-
-    def test_affine_function_exact(self):
-        rule = make_rule(degree=4)
-        p = Interpolant1D(rule, 2.0 * rule.nodes - 3.0)
-        x = np.linspace(0.0, 4.0, 17)
-        np.testing.assert_allclose(eval1d(p, x), 2.0 * x - 3.0, atol=1e-12)
-
-    def test_scalar_in_scalar_out(self):
-        rule = make_rule(degree=4)
-        p = Interpolant1D(rule, rule.nodes**2)
-        assert isinstance(eval1d(p, 1.5), float)
-        assert eval1d(p, 1.5) == pytest.approx(2.25, abs=1e-12)
-
-    def test_smooth_function_converges(self):
-        """Doubling the degree shrinks the error on a smooth bump."""
-        f = lambda x: 1.0 / (1.0 + (x - 2.0) ** 2)
-        probe = np.linspace(0.0, 4.0, 101)
-        errs = []
-        for degree in (8, 16, 32):
-            rule = make_rule(alpha=-0.2, degree=degree)
-            p = Interpolant1D(rule, f(rule.nodes))
-            errs.append(np.abs(eval1d(p, probe) - f(probe)).max())
-        assert errs[1] < errs[0] / 10.0
-        assert errs[2] < errs[1] / 10.0
-
-    def test_out_of_domain_rejected(self):
-        rule = make_rule(degree=4)
-        p = Interpolant1D(rule, rule.nodes)
-        with pytest.raises(ValueError):
-            eval1d(p, 4.2)
-        with pytest.raises(ValueError):
-            eval1d(p, -0.2)
-
-
 class TestInterpolant2D:
     def make_poly_interpolant(self):
         rule_y = make_rule(alpha=0.1, length=4.0, degree=5)
@@ -181,6 +130,23 @@ class TestInterpolant2D:
         with pytest.raises(ValueError):
             eval2d_grid(p, [2.0], [1.5])
 
+    def test_smooth_function_converges(self):
+        """Doubling the space degree shrinks the error on a smooth bump; the
+        data is affine in t, which the time rule reproduces exactly."""
+        f = lambda y: 1.0 / (1.0 + (y - 2.0) ** 2)
+        probe = np.linspace(0.0, 4.0, 101)
+        ts = np.array([0.0, 0.5, 1.0])
+        want = f(probe)[:, None] * (1.0 + ts)[None, :]
+        rule_t = make_rule(alpha=-0.2, length=1.0, degree=3)
+        errs = []
+        for degree in (8, 16, 32):
+            rule_y = make_rule(alpha=-0.2, degree=degree)
+            values = f(rule_y.nodes)[:, None] * (1.0 + rule_t.nodes)[None, :]
+            p = Interpolant2D(rule_y, rule_t, values)
+            errs.append(np.abs(eval2d_grid(p, probe, ts) - want).max())
+        assert errs[1] < errs[0] / 10.0
+        assert errs[2] < errs[1] / 10.0
+
     def test_time_boundary_evaluation_allowed(self):
         """t = 0 lies outside the open node span but inside the domain."""
         p, f = self.make_poly_interpolant()
@@ -208,5 +174,6 @@ def test_partition_of_unity_property(alpha, degree, x):
 def test_linear_reproduction_property(degree, coeff, x):
     """Interpolation is exact on affine data regardless of the node count."""
     rule = sgg_rule(BasisSpec(alpha=-0.2, length=1.0, degree=degree))
-    p = Interpolant1D(rule, coeff * rule.nodes + 1.0)
-    assert eval1d(p, x) == pytest.approx(coeff * x + 1.0, abs=1e-10 * (1 + abs(coeff)))
+    basis = barycentric_basis(rule.nodes, rule.bary_weights, np.array([x]), 1.0)
+    got = (basis @ (coeff * rule.nodes + 1.0))[0]
+    assert got == pytest.approx(coeff * x + 1.0, abs=1e-10 * (1 + abs(coeff)))

@@ -1,4 +1,5 @@
-"""Tests for the Gegenbauer polynomial kernel.
+"""Tests for the Gegenbauer recurrence that `sgg_rule` polishes its nodes
+with, and for the `BasisSpec` checks.
 
 The family is normalized so every member equals 1 at the right endpoint.
 Known reductions pin the convention: alpha = 0 gives Chebyshev polynomials
@@ -8,21 +9,12 @@ gives Chebyshev polynomials of the second kind divided by (degree + 1).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_chebyu, eval_jacobi, eval_legendre
 
-from gegopt.polycore import (
-    BasisSpec,
-    eval_gegenbauer,
-    eval_shifted_gegenbauer,
-    gegenbauer_with_derivative,
-    leading_coefficient,
-    log_leading_coefficient,
-)
+from gegopt.polycore import BasisSpec, gegenbauer_with_derivative
 
 ALPHAS = [-0.4, -0.2, 0.0, 0.5, 1.0, 1.7]
 
@@ -30,121 +22,63 @@ ALPHAS = [-0.4, -0.2, 0.0, 0.5, 1.0, 1.7]
 class TestKnownReductions:
     def test_chebyshev_first_kind_value(self):
         """alpha = 0, degree 3 at 0.5: 4 x^3 - 3 x = -1."""
-        spec = BasisSpec(alpha=0.0, length=2.0, degree=3)
-        assert eval_gegenbauer(spec, 0.5) == pytest.approx(-1.0, abs=1e-14)
+        assert float(gegenbauer_with_derivative(0.0, 3, 0.5)[0]) == pytest.approx(
+            -1.0, abs=1e-14
+        )
 
     def test_legendre_value(self):
         """alpha = 1/2, degree 2 at 0.3: (3 x^2 - 1)/2 = -0.365."""
-        spec = BasisSpec(alpha=0.5, length=2.0, degree=2)
-        assert eval_gegenbauer(spec, 0.3) == pytest.approx(-0.365, abs=1e-14)
+        assert float(gegenbauer_with_derivative(0.5, 2, 0.3)[0]) == pytest.approx(
+            -0.365, abs=1e-14
+        )
 
     @pytest.mark.parametrize("degree", range(9))
     def test_chebyshev_trig_closed_form(self, degree):
         """alpha = 0 reduces to cos(n arccos x)."""
-        spec = BasisSpec(alpha=0.0, length=2.0, degree=degree)
         theta = np.linspace(0.05, 3.1, 40)
         np.testing.assert_allclose(
-            eval_gegenbauer(spec, np.cos(theta)), np.cos(degree * theta), atol=1e-13
+            gegenbauer_with_derivative(0.0, degree, np.cos(theta))[0],
+            np.cos(degree * theta),
+            atol=1e-13,
         )
 
     @pytest.mark.parametrize("degree", range(9))
     def test_legendre_reduction(self, degree):
-        spec = BasisSpec(alpha=0.5, length=2.0, degree=degree)
         x = np.linspace(-1.0, 1.0, 33)
         np.testing.assert_allclose(
-            eval_gegenbauer(spec, x), eval_legendre(degree, x), atol=1e-13
+            gegenbauer_with_derivative(0.5, degree, x)[0], eval_legendre(degree, x), atol=1e-13
         )
 
     @pytest.mark.parametrize("degree", range(9))
     def test_second_kind_reduction(self, degree):
         """alpha = 1 equals Chebyshev-U divided by (degree + 1)."""
-        spec = BasisSpec(alpha=1.0, length=2.0, degree=degree)
         x = np.linspace(-1.0, 1.0, 33)
         np.testing.assert_allclose(
-            eval_gegenbauer(spec, x), eval_chebyu(degree, x) / (degree + 1), atol=1e-13
+            gegenbauer_with_derivative(1.0, degree, x)[0],
+            eval_chebyu(degree, x) / (degree + 1),
+            atol=1e-13,
         )
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("degree", [0, 1, 2, 5, 8])
     def test_jacobi_cross_check(self, alpha, degree):
         """Independent route: symmetric Jacobi normalized to 1 at x = 1."""
-        spec = BasisSpec(alpha=alpha, length=2.0, degree=degree)
         a = alpha - 0.5
         x = np.linspace(-1.0, 1.0, 21)
         expected = eval_jacobi(degree, a, a, x) / eval_jacobi(degree, a, a, 1.0)
-        np.testing.assert_allclose(eval_gegenbauer(spec, x), expected, atol=1e-12)
+        np.testing.assert_allclose(
+            gegenbauer_with_derivative(alpha, degree, x)[0], expected, atol=1e-12
+        )
 
 
 class TestShiftedEvaluation:
-    def test_shifted_chebyshev_value(self):
-        """length 4 maps x = 1 to z = -1/2; T_2(-1/2) = -1/2."""
-        spec = BasisSpec(alpha=0.0, length=4.0, degree=2)
-        assert eval_shifted_gegenbauer(spec, 1.0) == pytest.approx(-0.5, abs=1e-14)
-
-    @pytest.mark.parametrize("alpha", ALPHAS)
-    @pytest.mark.parametrize("length", [0.5, 1.0, 4.0])
-    def test_shift_is_affine_pullback(self, alpha, length):
-        spec = BasisSpec(alpha=alpha, length=length, degree=6)
-        x = np.linspace(0.0, length, 25)
-        np.testing.assert_allclose(
-            eval_shifted_gegenbauer(spec, x),
-            eval_gegenbauer(spec, 2.0 * x / length - 1.0),
-            atol=1e-13,
-        )
+    """A shifted member reaches the right end of [0, length] at z = 1."""
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_endpoint_normalization(self, alpha):
         for degree in range(10):
-            spec = BasisSpec(alpha=alpha, length=3.0, degree=degree)
-            assert eval_shifted_gegenbauer(spec, 3.0) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestLeadingCoefficient:
-    @pytest.mark.parametrize(
-        "alpha, degree, expected",
-        [
-            (0.0, 1, 1.0),  # T_1 = x
-            (0.0, 2, 2.0),  # T_2 = 2 x^2 - 1
-            (0.0, 3, 4.0),
-            (0.5, 2, 1.5),  # P_2 = (3 x^2 - 1)/2
-            (0.5, 3, 2.5),
-            (1.0, 2, 4.0 / 3.0),  # U_2/3 = (4 x^2 - 1)/3
-        ],
-    )
-    def test_frozen_unit_interval_values(self, alpha, degree, expected):
-        spec = BasisSpec(alpha=alpha, length=2.0, degree=degree)
-        assert leading_coefficient(spec) == pytest.approx(expected, rel=1e-13)
-
-    def test_shift_scales_by_two_over_length_power(self):
-        base = BasisSpec(alpha=0.0, length=2.0, degree=3)
-        shifted = BasisSpec(alpha=0.0, length=4.0, degree=3)
-        assert leading_coefficient(shifted) == pytest.approx(
-            leading_coefficient(base) * (2.0 / 4.0) ** 3, rel=1e-13
-        )
-
-    @pytest.mark.parametrize("alpha", ALPHAS)
-    @pytest.mark.parametrize("degree", [1, 2, 4, 7])
-    def test_matches_polynomial_fit(self, alpha, degree):
-        """Fit the evaluated polynomial and read off its top coefficient."""
-        spec = BasisSpec(alpha=alpha, length=1.5, degree=degree)
-        x = 0.75 * (1.0 + np.cos(np.pi * np.arange(degree + 1) / max(degree, 1)))
-        coeffs = np.polynomial.polynomial.polyfit(
-            x, eval_shifted_gegenbauer(spec, x), degree
-        )
-        assert coeffs[-1] == pytest.approx(leading_coefficient(spec), rel=1e-8)
-
-    @pytest.mark.parametrize("alpha", ALPHAS)
-    def test_log_form_consistent(self, alpha):
-        for degree in range(1, 12):
-            spec = BasisSpec(alpha=alpha, length=4.0, degree=degree)
-            assert math.exp(log_leading_coefficient(spec)) == pytest.approx(
-                leading_coefficient(spec), rel=1e-12
-            )
-
-    def test_log_form_survives_large_degree(self):
-        spec = BasisSpec(alpha=0.0, length=1.0, degree=400)
-        # 2^(n-1) (2/l)^n overflows a float but its log must stay finite.
-        assert np.isfinite(log_leading_coefficient(spec))
+            value = float(gegenbauer_with_derivative(alpha, degree, 1.0)[0])
+            assert value == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDerivative:
@@ -154,10 +88,10 @@ class TestDerivative:
         z = np.linspace(-0.9, 0.9, 17)
         h = 1e-6
         _, deriv = gegenbauer_with_derivative(alpha, degree, z)
-        spec = BasisSpec(alpha=alpha, length=2.0, degree=degree)
-        numeric = (eval_gegenbauer(spec, z + h) - eval_gegenbauer(spec, z - h)) / (
-            2.0 * h
-        )
+        numeric = (
+            gegenbauer_with_derivative(alpha, degree, z + h)[0]
+            - gegenbauer_with_derivative(alpha, degree, z - h)[0]
+        ) / (2.0 * h)
         np.testing.assert_allclose(deriv, numeric, atol=1e-8)
 
     def test_chebyshev_derivative_identity(self):
@@ -185,17 +119,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             BasisSpec(**kwargs)
 
-    def test_out_of_domain_rejected(self):
-        spec = BasisSpec(alpha=0.0, length=2.0, degree=3)
-        with pytest.raises(ValueError):
-            eval_gegenbauer(spec, 1.1)
-        with pytest.raises(ValueError):
-            eval_shifted_gegenbauer(spec, -0.1)
-
-    def test_roundoff_overshoot_tolerated(self):
-        spec = BasisSpec(alpha=0.0, length=2.0, degree=3)
-        assert eval_gegenbauer(spec, 1.0 + 1e-15) == pytest.approx(1.0)
-
 
 @settings(deadline=None, max_examples=60)
 @given(
@@ -205,9 +128,8 @@ class TestValidation:
 )
 def test_symmetry_property(alpha, degree, x):
     """G_n(-x) = (-1)^n G_n(x) for every member of the family."""
-    spec = BasisSpec(alpha=alpha, length=2.0, degree=degree)
-    left = eval_gegenbauer(spec, -x)
-    right = (-1.0) ** degree * eval_gegenbauer(spec, x)
+    left = gegenbauer_with_derivative(alpha, degree, -x)[0]
+    right = (-1.0) ** degree * gegenbauer_with_derivative(alpha, degree, x)[0]
     np.testing.assert_allclose(left, right, atol=1e-12)
 
 
@@ -219,5 +141,4 @@ def test_symmetry_property(alpha, degree, x):
 )
 def test_bounded_by_endpoint_value_for_nonnegative_alpha(alpha, degree, x):
     """With alpha >= 0 the normalized family attains its maximum modulus at 1."""
-    spec = BasisSpec(alpha=alpha, length=2.0, degree=degree)
-    assert abs(eval_gegenbauer(spec, x)) <= 1.0 + 1e-12
+    assert abs(gegenbauer_with_derivative(alpha, degree, x)[0]) <= 1.0 + 1e-12
