@@ -17,6 +17,11 @@ builds are the 12 operators_highdeg builds (n = 128..1024 by 3 alphas) at
 each seed's interval length, made by `perfbench.workloads.run_operators`:
 24 builds, each hashed over P1, its full-interval row, P2 and the error
 bound at every node.  A cell or build that raises is hashed by its error.
+Last, one seed-5 paper_sweep pass (`perfbench.workloads.run_sweep`) writes
+its files to a temporary directory, and each file is hashed by its bytes:
+252 solution and profile CSVs, config.json, and report.csv, whose
+wall_time_s column, the one field that differs between identical runs, is
+dropped before hashing.
 The script imports the gegopt and perfbench of the checkout it sits in, so
 to fingerprint another checkout, run a copy of it placed in that checkout.
 
@@ -25,9 +30,12 @@ $ diff before.json after.json
 """
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +47,9 @@ SEEDS = (5, 41)
 
 #: Largest N whose dense H and Q are hashed.
 DENSE_N = 12
+
+#: Seed whose paper_sweep pass has every file it writes hashed.
+SWEEP_SEED = 5
 
 
 def _digest(outcome) -> str:
@@ -88,6 +99,20 @@ def operator_fingerprint(build) -> str:
     )
 
 
+def file_fingerprints(out: Path) -> dict[str, str]:
+    """SHA-256 of every file under `out`, keyed by its path relative to
+    `out`; report.csv is hashed without its wall_time_s column."""
+    result = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "report.csv":
+            rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
+            drop = rows[0].index("wall_time_s")
+            data = json.dumps([row[:drop] + row[drop + 1 :] for row in rows]).encode()
+        result[path.relative_to(out).as_posix()] = hashlib.sha256(data).hexdigest()
+    return result
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -114,6 +139,10 @@ def main(argv=None) -> int:
             result[f"seed={seed} N={n} alpha={alpha:g}"] = fingerprint(n, cell)
         for (n, alpha), build in zip(builds, workloads.run_operators(inputs, None)):
             result[f"seed={seed} operators n={n} alpha={alpha:g}"] = operator_fingerprint(build)
+    with tempfile.TemporaryDirectory() as tmp:
+        workloads.run_sweep(oracle.draw_inputs(SWEEP_SEED), Path(tmp))
+        for name, digest in file_fingerprints(Path(tmp)).items():
+            result[f"seed={SWEEP_SEED} paper_sweep {name}"] = digest
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"{len(result)} fingerprints written to {args.out}")
     return 0

@@ -229,10 +229,11 @@ def _cell_tag(n_y: int, n_t: int, alpha: float) -> str:
     return f"{n}_{alpha:g}"
 
 
-def _csv_rows(fmt: str, rows: np.ndarray) -> str:
-    """`fmt % row` for each row of a 2-D array, joined.  Callers use %.16e
-    fields and a \\r\\n ending: the bytes csv.writer gives for f"{v:.16e}"."""
-    return "".join(map(fmt.__mod__, map(tuple, rows.tolist())))
+def _fill(template: str, values: np.ndarray) -> str:
+    """`template % values`, the values taken in row order.  Writers build
+    the template from %.16e fields and \\r\\n endings: the bytes csv.writer
+    gives for f"{v:.16e}"."""
+    return template % tuple(values.ravel().tolist())
 
 
 def _write_solution_csv(path: Path, sol: OcpSolution) -> None:
@@ -243,7 +244,7 @@ def _write_solution_csv(path: Path, sol: OcpSolution) -> None:
         [i, j, y_aug[i], t_nodes[j], sol.phi.ravel(), sol.u.ravel(), sol.x.ravel()]
     )
     fmt = "%d,%d,%.16e,%.16e,%.16e,%.16e,%.16e\r\n"
-    path.write_text("i,j,y,t,phi,u,x\r\n" + _csv_rows(fmt, rows), newline="")
+    path.write_text(_fill("i,j,y,t,phi,u,x\r\n" + fmt * len(rows), rows), newline="")
 
 
 def _profile_samples(sol: OcpSolution, samples: int) -> tuple[np.ndarray, np.ndarray]:
@@ -279,14 +280,20 @@ def emit_profiles(sol: OcpSolution, samples: int) -> list[tuple[str, float, floa
     ]
 
 
+def _profile_template(ys: np.ndarray, ts: np.ndarray, mid: float) -> str:
+    """The profile file with x and u left as %.16e fields: the header, one
+    grid row per (y, t), y outer, then one midline row per t.  Each
+    coordinate is formatted once."""
+    tails = ["%.16e,%%.16e,%%.16e\r\n" % t for t in ts.tolist()]
+    heads = ["grid,%.16e," % y for y in ys.tolist()] + ["midline,%.16e," % mid]
+    return "".join(["section,y,t,x,u\r\n", *(head + head.join(tails) for head in heads)])
+
+
 def _write_profiles_csv(path: Path, sol: OcpSolution, samples: int) -> None:
     grid, midline = _profile_samples(sol, samples)
-    path.write_text(
-        "section,y,t,x,u\r\n"
-        + _csv_rows("grid,%.16e,%.16e,%.16e,%.16e\r\n", grid)
-        + _csv_rows("midline,%.16e,%.16e,%.16e,%.16e\r\n", midline),
-        newline="",
-    )
+    # ys, ts and the midline's y, read back from the rows that emit_profiles returns
+    template = _profile_template(grid[::samples, 0], midline[:, 1], midline[0, 0])
+    path.write_text(_fill(template, np.vstack([grid[:, 2:], midline[:, 2:]])), newline="")
 
 
 def _dump_matrices(out_dir: Path, sol: OcpSolution) -> None:
@@ -294,7 +301,7 @@ def _dump_matrices(out_dir: Path, sol: OcpSolution) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, arr in (("H", qp.H), ("Q", qp.Q), ("b", qp.b[:, None]), ("c", qp.c[:, None])):
         fmt = ",".join(["%.16e"] * arr.shape[1]) + "\r\n"
-        (out_dir / f"{name}.csv").write_text(_csv_rows(fmt, arr), newline="")
+        (out_dir / f"{name}.csv").write_text(_fill(fmt * len(arr), arr), newline="")
     meta = {
         "j0": qp.j0,
         "n_y": qp.grid.n_y,
@@ -374,6 +381,8 @@ def _parse_range(token: str, cast):
         start, stop, step = (float(p) for p in parts)
     else:
         raise ConfigError(f"cannot parse range {token!r}")
+    if not np.isfinite([start, stop, step]).all():
+        raise ConfigError(f"range {token!r} needs a finite start, stop and step")
     if step <= 0 or stop < start:
         raise ConfigError(f"range {token!r} must ascend with positive step")
     count = int((stop - start) / step + 1e-9) + 1

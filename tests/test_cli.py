@@ -15,6 +15,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +31,10 @@ from gegopt.cli import (
     RunConfig,
     RunRecord,
     _build_parser,
-    _csv_rows,
+    _fill,
     _parse_range,
     _stage,
+    _write_profiles_csv,
     emit_profiles,
     main,
     parse_initial_profile,
@@ -469,10 +471,53 @@ class TestArtifactBytes:
             assert data.endswith(b"\r\n")
             assert data.count(b"\n") == data.count(b"\r\n"), got.name
 
+    @pytest.mark.parametrize(
+        "length, t_final, n_y, n_t, samples",
+        [
+            ("4", "1", 4, 4, 2),
+            ("4", "1", 5, 5, 101),
+            # linspace(0, 3.7, 11) and linspace(0, 0.3, 11) need all 17 digits
+            ("3.7", "0.3", 6, 4, 11),
+        ],
+    )
+    def test_files_match_reference_writer_across_grids(
+        self, length, t_final, n_y, n_t, samples, tmp_path
+    ):
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        args = ["--L", length, "--tf", t_final, "--Ny", str(n_y), "--Nt", str(n_t),
+                "--alpha", "0.3", "--eval-grid", str(samples), "--out", str(out)]
+        assert main(args) == 0
+        ocp = transcribe.DiffusionOcp(
+            length=float(length), t_final=float(t_final), r1=0.5, r2=0.5,
+            initial=lambda y: 1.0 + y,
+        )
+        _, sol = run_single(ocp, n_y, n_t, 0.3, eval_grid=samples)
+        ref.mkdir()
+        _reference_solution_csv(ref / "solution.csv", sol)
+        _reference_profiles_csv(ref / "profiles.csv", sol, samples)
+        tag = f"{n_y}_0.3" if n_y == n_t else f"{n_y}x{n_t}_0.3"
+        assert (out / f"solution_{tag}.csv").read_bytes() == (ref / "solution.csv").read_bytes()
+        assert (out / f"profiles_{tag}.csv").read_bytes() == (ref / "profiles.csv").read_bytes()
+
+    def test_profile_writer_memory_peak(self, tmp_path):
+        """One profile file at eval grid 101 peaks at no more than four
+        times the file's own bytes."""
+        _, sol = solve_reference_cell(8, 0.0)
+        path = tmp_path / "profiles.csv"
+        _write_profiles_csv(path, sol, 101)  # lazy NumPy imports
+        tracemalloc.start()
+        try:
+            _write_profiles_csv(path, sol, 101)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert peak <= 4 * size, f"peak {peak / size:.2f} x the file's {size} bytes"
+
     def test_row_formatter_special_values(self):
         values = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 0.1]
         col = np.array(values)[:, None]
-        got = _csv_rows("v,%.16e,%.16e\r\n", np.hstack([col, -col]))
+        got = _fill("v,%.16e,%.16e\r\n" * len(values), np.hstack([col, -col]))
         buf = io.StringIO(newline="")
         writer = csv.writer(buf)
         for v in values:
@@ -495,6 +540,8 @@ class TestExitCodes:
             ["--Ny", "4:3"],  # descending range
             ["--Ny", "0"],
             ["--Ny", "4", "--Nt", "0"],
+            ["--Ny", "4:inf", "--sweep"],
+            ["--alpha=-inf:1:0.5", "--sweep"],
         ],
     )
     def test_configuration_failures_exit_one(self, argv, capsys):
@@ -507,6 +554,8 @@ class TestExitCodes:
             ("4:3", "range '4:3' must ascend with positive step"),
             ("abc", "invalid literal for int() with base 10: 'abc'"),
             ("4:8:2.5", "range '4:8:2.5' gives 6.5, which is not a whole number"),
+            ("4:inf", "range '4:inf' needs a finite start, stop and step"),
+            ("4:8:nan", "range '4:8:nan' needs a finite start, stop and step"),
         ],
     )
     def test_bad_grid_token_names_its_flag(self, token, cause, capsys):
