@@ -3,7 +3,8 @@
 """Summarize a sweep report as a convergence table: for each family parameter,
 list the cost, its gap to the finest grid, and the two accuracy scores.
 
-$ python3 scripts/run_benchmark_sweep.py --out results/benchmark
+$ gegopt --Ny 4:12 --alpha=-0.4:0.9:0.1 --sweep --out results/benchmark
+$ gegopt --Ny 4:12:2 --alpha=-0.2 --alpha 0 --alpha 0.5 --sweep --out results/quick
 $ python3 scripts/convergence_table.py results/benchmark/report.csv
 """
 

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .interp import Interpolant2D, eval2d_grid
+from .interp import eval2d_grid
 from .nodes import sgg_rule
 from .polycore import BasisSpec
 from .qpsolve import QpSolution, solve
@@ -99,10 +99,7 @@ class RunConfig:
             pairs = list(zip(self.n_y, self.n_t))
         else:
             raise ConfigError("--Nt must be a single value or match --Ny in length")
-        cells = sorted(
-            {(ny, nt, a) for ny, nt in pairs for a in self.alphas},
-            key=lambda c: (c[0], c[1], c[2]),
-        )
+        cells = sorted({(ny, nt, a) for ny, nt in pairs for a in self.alphas})
         if not self.sweep and len(cells) > 1:
             raise ConfigError("multiple cells requested without --sweep")
         return cells
@@ -186,7 +183,7 @@ def _stage(name: str, ny: int, nt: int, alpha: float):
 
 
 def run_single(
-    ocp: DiffusionOcp, n_y: int, n_t: int, alpha: float, eval_grid: int = 101
+    ocp: DiffusionOcp, n_y: int, n_t: int, alpha: float, eval_grid: int = RunConfig.eval_grid
 ) -> tuple[RunRecord, OcpSolution]:
     """Build, solve and score one cell."""
     if eval_grid < 2:
@@ -203,10 +200,10 @@ def run_single(
     with _stage("recover", n_y, n_t, alpha):
         phi, u = trans.grid.fields(sol.z)
         x = recover_state(sol.z, qp)
-        state_interp = Interpolant2D(rule_y, rule_t, x[: n_y + 1, :])
         ys = np.linspace(0.0, ocp.length, eval_grid)
         f_vals = np.array([float(ocp.initial(v)) for v in ys])
-        psi1 = float(np.max(np.abs(eval2d_grid(state_interp, ys, [0.0])[:, 0] - f_vals)))
+        x0 = eval2d_grid(rule_y, rule_t, x[: n_y + 1, :], ys, [0.0])[:, 0]
+        psi1 = float(np.max(np.abs(x0 - f_vals)))
         psi2 = float(np.max(np.abs(trans.op_y1.full_interval_row @ phi[: n_y + 1, :])))
     wall = time.perf_counter() - start
     record = RunRecord(
@@ -247,25 +244,23 @@ def _write_solution_csv(path: Path, sol: OcpSolution) -> None:
     path.write_text(_fill("i,j,y,t,phi,u,x\r\n" + fmt * len(rows), rows), newline="")
 
 
-def _profile_samples(sol: OcpSolution, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """(y, t, x, u) rows of the state and control interpolants: the full
-    samples x samples tensor grid (y outer), then the spatial midline."""
+def _profile_samples(
+    sol: OcpSolution, samples: int
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """The uniform samples ys and ts, the midline's y, and the (x, u) rows
+    of the state and control interpolants: the full samples x samples
+    tensor grid (y outer), then the midline at each t."""
     trans = sol.transcription
-    n_y = trans.grid.n_y
-    x_interp = Interpolant2D(trans.rule_y, trans.rule_t, sol.x[: n_y + 1, :])
-    u_interp = Interpolant2D(trans.rule_y, trans.rule_t, sol.u[: n_y + 1, :])
+    rules = (trans.rule_y, trans.rule_t)
     ys = np.linspace(0.0, trans.ocp.length, samples)
     ts = np.linspace(0.0, trans.ocp.t_final, samples)
-    grid = np.column_stack([
-        np.repeat(ys, samples), np.tile(ts, samples),
-        eval2d_grid(x_interp, ys, ts).ravel(), eval2d_grid(u_interp, ys, ts).ravel(),
-    ])
     mid = 0.5 * trans.ocp.length
-    midline = np.column_stack([
-        np.full(samples, mid), ts,
-        eval2d_grid(x_interp, [mid], ts)[0], eval2d_grid(u_interp, [mid], ts)[0],
-    ])
-    return grid, midline
+    x, u = (
+        np.concatenate([eval2d_grid(*rules, v, ys, ts).ravel(),
+                        eval2d_grid(*rules, v, [mid], ts)[0]])
+        for v in (sol.x[: trans.grid.n_y + 1], sol.u[: trans.grid.n_y + 1])
+    )
+    return ys, ts, mid, np.column_stack([x, u])
 
 
 def emit_profiles(sol: OcpSolution, samples: int) -> list[tuple[str, float, float, float, float]]:
@@ -274,10 +269,10 @@ def emit_profiles(sol: OcpSolution, samples: int) -> list[tuple[str, float, floa
     Returns (section, y, t, x, u) tuples: a full tensor grid, then a slice
     along the spatial midline.
     """
-    grid, midline = _profile_samples(sol, samples)
-    return [("grid", *row) for row in grid.tolist()] + [
-        ("midline", *row) for row in midline.tolist()
-    ]
+    ys, ts, mid, xu = _profile_samples(sol, samples)
+    ts = ts.tolist()
+    coords = [("grid", y, t) for y in ys.tolist() for t in ts] + [("midline", mid, t) for t in ts]
+    return [(*c, *row) for c, row in zip(coords, xu.tolist())]
 
 
 def _profile_template(ys: np.ndarray, ts: np.ndarray, mid: float) -> str:
@@ -290,10 +285,8 @@ def _profile_template(ys: np.ndarray, ts: np.ndarray, mid: float) -> str:
 
 
 def _write_profiles_csv(path: Path, sol: OcpSolution, samples: int) -> None:
-    grid, midline = _profile_samples(sol, samples)
-    # ys, ts and the midline's y, read back from the rows that emit_profiles returns
-    template = _profile_template(grid[::samples, 0], midline[:, 1], midline[0, 0])
-    path.write_text(_fill(template, np.vstack([grid[:, 2:], midline[:, 2:]])), newline="")
+    ys, ts, mid, xu = _profile_samples(sol, samples)
+    path.write_text(_fill(_profile_template(ys, ts, mid), xu), newline="")
 
 
 def _dump_matrices(out_dir: Path, sol: OcpSolution) -> None:
@@ -368,6 +361,11 @@ def run_sweep(config: RunConfig) -> tuple[list[RunRecord], dict[tuple[int, int, 
     return records, solutions
 
 
+#: Most values one range token may give: no experiment uses more than 14, and
+#: the count is checked before the list is built, so 4:1e30 fails at once.
+MAX_RANGE_VALUES = 10_000
+
+
 def _parse_range(token: str, cast):
     """One value, or an inclusive range 'start:stop[:step]', which never
     passes its stop; a range value that `cast` would change (6.5 for int)
@@ -385,7 +383,10 @@ def _parse_range(token: str, cast):
         raise ConfigError(f"range {token!r} needs a finite start, stop and step")
     if step <= 0 or stop < start:
         raise ConfigError(f"range {token!r} must ascend with positive step")
-    count = int((stop - start) / step + 1e-9) + 1
+    span = (stop - start) / step + 1e-9
+    if span >= MAX_RANGE_VALUES:
+        raise ConfigError(f"range {token!r} gives more than {MAX_RANGE_VALUES} values")
+    count = int(span) + 1
     vals = [round(start + k * step, 12) for k in range(count)]
     for v in vals:
         if cast(v) != v:

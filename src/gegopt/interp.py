@@ -9,14 +9,11 @@ so no division by ~0 ever happens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .nodes import QuadratureRule
 
 __all__ = [
-    "Interpolant2D",
     "barycentric_basis",
     "eval2d_grid",
 ]
@@ -52,35 +49,23 @@ def barycentric_basis(
     return basis
 
 
-@dataclass(frozen=True)
-class Interpolant2D:
-    """Tensor-product interpolant on a space rule x time rule grid.
-
-    values[i, j] is the sample at (rule_y.nodes[i], rule_t.nodes[j]).
-    """
-
-    rule_y: QuadratureRule
-    rule_t: QuadratureRule
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        want = (self.rule_y.nodes.size, self.rule_t.nodes.size)
-        if np.shape(self.values) != want:
-            raise ValueError(f"value grid must have shape {want}")
-
-
 def _check_domain(points: np.ndarray, length: float) -> None:
     tol = COINCIDENCE_TOL * max(1.0, length)
     if np.any(points < -tol) or np.any(points > length + tol):
         raise ValueError(f"evaluation point outside [0, {length}]")
 
 
-def eval2d_grid(p: Interpolant2D, ys, ts) -> np.ndarray:
-    """Evaluate on the tensor grid ys x ts; returns shape (len(ys), len(ts))."""
+def eval2d_grid(rule_y: QuadratureRule, rule_t: QuadratureRule, values, ys, ts) -> np.ndarray:
+    """Evaluate the tensor-product interpolant of values[i, j], the sample
+    at (rule_y.nodes[i], rule_t.nodes[j]), on the grid ys x ts; returns
+    shape (len(ys), len(ts))."""
+    want = (rule_y.nodes.size, rule_t.nodes.size)
+    if np.shape(values) != want:
+        raise ValueError(f"value grid must have shape {want}")
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    _check_domain(ys, p.rule_y.spec.length)
-    _check_domain(ts, p.rule_t.spec.length)
-    by = barycentric_basis(p.rule_y.nodes, p.rule_y.bary_weights, ys, p.rule_y.spec.length)
-    bt = barycentric_basis(p.rule_t.nodes, p.rule_t.bary_weights, ts, p.rule_t.spec.length)
-    return by @ p.values @ bt.T
+    _check_domain(ys, rule_y.spec.length)
+    _check_domain(ts, rule_t.spec.length)
+    by = barycentric_basis(rule_y.nodes, rule_y.bary_weights, ys, rule_y.spec.length)
+    bt = barycentric_basis(rule_t.nodes, rule_t.bary_weights, ts, rule_t.spec.length)
+    return by @ values @ bt.T

@@ -136,25 +136,22 @@ def sgg_rule(spec: BasisSpec) -> QuadratureRule:
     x = (z + 1.0) * (0.5 * spec.length)
     if np.any(np.diff(x) <= 0.0) or x[0] <= 0.0 or x[-1] >= spec.length:
         raise RootSolveError(0, float("nan"))
-    rule = QuadratureRule(spec, x, w, np.zeros(npts))
-    xi = barycentric_weights(rule)
+    xi = barycentric_weights(spec, x, w)
     bad = np.count_nonzero(~(np.isfinite(w) & np.isfinite(xi)))
     if bad:
         raise RuleWeightError(spec.alpha, n, bad)
     return QuadratureRule(spec, x, w, xi)
 
 
-def barycentric_weights(rule: QuadratureRule) -> np.ndarray:
-    """Explicit barycentric weights for the rule's node set:
+def barycentric_weights(spec: BasisSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Explicit barycentric weights for the nodes x on [0, spec.length]:
 
         xi_i = 2 (-1)^i sqrt(4^alpha length^(-2(1+alpha)) (length - x_i) x_i w_i)
 
-    with w_i the stored (unshifted) Christoffel numbers.  Any common scaling
-    of the weights leaves barycentric interpolation unchanged; this fixes one
+    with w_i the (unshifted) Christoffel numbers.  Any common scaling of the
+    weights leaves barycentric interpolation unchanged; this fixes one
     concrete normalization with xi_0 > 0.
     """
-    spec = rule.spec
-    x, w = rule.nodes, rule.christoffel
     # In NumPy, so that an overflowing power at extreme alpha gives inf (and
     # the caller's finite check names alpha and n) instead of OverflowError.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -302,9 +302,10 @@ def solve(qp: DiscreteQp) -> QpSolution:
     (alphas, betas), (refinement, _) = cg
 
     # Residual of the full saddle system: stationarity, then constraints.
-    r_s, r_c = _residual(qp, z, lam)
+    qz, ht = qp.q_mul(z), qp.ht_mul(lam)
+    r_s, r_c = 2.0 * qz + qp.c + ht, qp.h_mul(z) - qp.b
     stationarity, feasibility = float(np.max(np.abs(r_s))), float(np.max(np.abs(r_c)))
-    grad = np.max(2.0 * np.abs(qp.q_mul(z)) + np.abs(qp.c) + np.abs(qp.ht_mul(lam)))
+    grad = np.max(2.0 * np.abs(qz) + np.abs(qp.c) + np.abs(ht))
     rows = np.max(qp.h_terms(z) + np.abs(qp.b))
     if not (stationarity <= ROUND_OFF * grad and feasibility <= ROUND_OFF * rows):
         raise SolveError(
@@ -315,7 +316,7 @@ def solve(qp: DiscreteQp) -> QpSolution:
     worst = max(stationarity, feasibility)
     if not worst <= 1e-7 * rhs_scale:
         raise SolveError(f"saddle system is inconsistent (residual {worst:.3e})")
-    j = float(z @ qp.q_mul(z) + qp.c @ z + qp.j0)
+    j = float(z @ qz + qp.c @ z + qp.j0)
     if not np.isfinite(j):
         raise SolveError(f"objective is not finite ({j})")
     return QpSolution(

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -27,6 +28,7 @@ import gegopt
 from gegopt import transcribe
 from gegopt.cli import (
     ALPHA_WINDOW,
+    MAX_RANGE_VALUES,
     ConfigError,
     RunConfig,
     RunRecord,
@@ -41,7 +43,7 @@ from gegopt.cli import (
     run_single,
     run_sweep,
 )
-from gegopt.interp import Interpolant2D, eval2d_grid
+from gegopt.interp import eval2d_grid
 
 
 class TestInitialProfileParsing:
@@ -366,6 +368,11 @@ class TestMainOutputs:
     def test_range_never_passes_its_stop(self, token, cast, want):
         assert _parse_range(token, cast) == want
 
+    def test_range_gives_at_most_the_value_limit(self):
+        assert len(_parse_range("1:10000", int)) == MAX_RANGE_VALUES
+        with pytest.raises(ConfigError, match="gives more than 10000 values"):
+            _parse_range("1:10001", int)
+
     def test_alpha_range_stops_inside_window(self, capsys):
         assert main(["--Ny", "4", "--alpha=0:1.9:0.4", "--sweep", "--eval-grid", "11"]) == 0
         alphas = [line.split()[2] for line in capsys.readouterr().out.splitlines()]
@@ -411,17 +418,17 @@ def _reference_solution_csv(path, sol):
 def _reference_profiles_csv(path, sol, samples):
     trans = sol.transcription
     n_y = trans.grid.n_y
-    x_interp = Interpolant2D(trans.rule_y, trans.rule_t, sol.x[: n_y + 1, :])
-    u_interp = Interpolant2D(trans.rule_y, trans.rule_t, sol.u[: n_y + 1, :])
+    rules = (trans.rule_y, trans.rule_t)
+    x, u = sol.x[: n_y + 1, :], sol.u[: n_y + 1, :]
     ys = np.linspace(0.0, trans.ocp.length, samples)
     ts = np.linspace(0.0, trans.ocp.t_final, samples)
-    xg = eval2d_grid(x_interp, ys, ts)
-    ug = eval2d_grid(u_interp, ys, ts)
+    xg = eval2d_grid(*rules, x, ys, ts)
+    ug = eval2d_grid(*rules, u, ys, ts)
     rows = [("grid", ys[iy], ts[it], xg[iy, it], ug[iy, it])
             for iy in range(samples) for it in range(samples)]
     mid = 0.5 * trans.ocp.length
-    xm = eval2d_grid(x_interp, [mid], ts)[0]
-    um = eval2d_grid(u_interp, [mid], ts)[0]
+    xm = eval2d_grid(*rules, x, [mid], ts)[0]
+    um = eval2d_grid(*rules, u, [mid], ts)[0]
     rows.extend(("midline", mid, ts[it], xm[it], um[it]) for it in range(samples))
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -562,6 +569,28 @@ class TestExitCodes:
         assert main(["--Ny", token]) == 1
         assert capsys.readouterr().err == f"configuration error: argument --Ny: {cause}\n"
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["--Ny", "4:1e30"], "--Ny"), (["--alpha=0:1.9:1e-12"], "--alpha")],
+    )
+    def test_huge_range_exits_one_before_building_it(self, argv, flag):
+        """A range of about 1e30 values is refused before its list is built.
+        The child runs under a 512 MiB address-space cap and a 10 s timeout,
+        so a parser that builds the list fails the test instead of the host."""
+        cap = 512 * 2**20
+        package_root = Path(gegopt.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "gegopt", *argv, "--sweep"],
+            capture_output=True,
+            text=True,
+            check=False,
+            timeout=10,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            env=dict(os.environ, PYTHONPATH=str(package_root)),
+        )
+        assert proc.returncode == 1
+        assert f"configuration error: argument {flag}" in proc.stderr
+
     @pytest.mark.parametrize("argv", [["--r2", "1e-300"]])
     def test_cell_failure_exits_two(self, argv, capsys):
         assert main(argv) == 2
@@ -635,19 +664,13 @@ class TestRuntimeDependencies:
         assert proc.stdout.strip() == "[]"
 
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
 class TestScripts:
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "cell_fingerprints.py",
-            "convergence_table.py",
-            "large_cells.py",
-            "quadrature_bound_demo.py",
-            "run_benchmark_sweep.py",
-        ],
-    )
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCRIPTS.glob("*.py")))
     def test_help_shows_module_docstring(self, name):
-        script = Path(__file__).resolve().parents[1] / "scripts" / name
+        script = SCRIPTS / name
         package_root = Path(gegopt.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, str(script), "--help"],

@@ -12,7 +12,7 @@ from conftest import reference_barycentric_basis
 
 from gegopt.polycore import BasisSpec
 from gegopt.nodes import sgg_rule
-from gegopt.interp import Interpolant2D, barycentric_basis, eval2d_grid
+from gegopt.interp import barycentric_basis, eval2d_grid
 
 
 def make_rule(alpha=0.0, length=4.0, degree=8):
@@ -90,45 +90,47 @@ class TestBarycentricBasis:
 
 
 class TestInterpolant2D:
+    """The tensor-product interpolant that eval2d_grid evaluates."""
+
     def make_poly_interpolant(self):
         rule_y = make_rule(alpha=0.1, length=4.0, degree=5)
         rule_t = make_rule(alpha=0.1, length=1.0, degree=4)
         f = lambda y, t: y * y * t + y - 3.0 * t
         values = f(rule_y.nodes[:, None], rule_t.nodes[None, :])
-        return Interpolant2D(rule_y, rule_t, values), f
+        return (rule_y, rule_t, values), f
 
     def test_shape_mismatch_rejected(self):
         rule_y = make_rule(degree=3)
         rule_t = make_rule(degree=2, length=1.0)
-        with pytest.raises(ValueError):
-            Interpolant2D(rule_y, rule_t, np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="shape"):
+            eval2d_grid(rule_y, rule_t, np.zeros((3, 4)), [0.5], [0.5])
 
     def test_polynomial_exact_on_grid(self):
         p, f = self.make_poly_interpolant()
         ys = np.linspace(0.0, 4.0, 13)
         ts = np.linspace(0.0, 1.0, 7)
-        got = eval2d_grid(p, ys, ts)
+        got = eval2d_grid(*p, ys, ts)
         np.testing.assert_allclose(got, f(ys[:, None], ts[None, :]), atol=1e-11)
 
     def test_grid_matches_pointwise(self, rng):
         p, _ = self.make_poly_interpolant()
         ys = rng.uniform(0.0, 4.0, size=6)
         ts = rng.uniform(0.0, 1.0, size=5)
-        grid = eval2d_grid(p, ys, ts)
+        grid = eval2d_grid(*p, ys, ts)
         for a, y in enumerate(ys):
             for b, t in enumerate(ts):
-                assert eval2d_grid(p, [y], [t])[0, 0] == pytest.approx(grid[a, b], abs=1e-13)
+                assert eval2d_grid(*p, [y], [t])[0, 0] == pytest.approx(grid[a, b], abs=1e-13)
 
     def test_grid_shape(self):
         p, _ = self.make_poly_interpolant()
-        assert eval2d_grid(p, np.zeros(3), np.zeros(4)).shape == (3, 4)
+        assert eval2d_grid(*p, np.zeros(3), np.zeros(4)).shape == (3, 4)
 
     def test_domain_enforced_on_both_axes(self):
         p, _ = self.make_poly_interpolant()
         with pytest.raises(ValueError):
-            eval2d_grid(p, [4.5], [0.5])
+            eval2d_grid(*p, [4.5], [0.5])
         with pytest.raises(ValueError):
-            eval2d_grid(p, [2.0], [1.5])
+            eval2d_grid(*p, [2.0], [1.5])
 
     def test_smooth_function_converges(self):
         """Doubling the space degree shrinks the error on a smooth bump; the
@@ -142,15 +144,14 @@ class TestInterpolant2D:
         for degree in (8, 16, 32):
             rule_y = make_rule(alpha=-0.2, degree=degree)
             values = f(rule_y.nodes)[:, None] * (1.0 + rule_t.nodes)[None, :]
-            p = Interpolant2D(rule_y, rule_t, values)
-            errs.append(np.abs(eval2d_grid(p, probe, ts) - want).max())
+            errs.append(np.abs(eval2d_grid(rule_y, rule_t, values, probe, ts) - want).max())
         assert errs[1] < errs[0] / 10.0
         assert errs[2] < errs[1] / 10.0
 
     def test_time_boundary_evaluation_allowed(self):
         """t = 0 lies outside the open node span but inside the domain."""
         p, f = self.make_poly_interpolant()
-        assert eval2d_grid(p, [2.0], [0.0])[0, 0] == pytest.approx(f(2.0, 0.0), abs=1e-10)
+        assert eval2d_grid(*p, [2.0], [0.0])[0, 0] == pytest.approx(f(2.0, 0.0), abs=1e-10)
 
 
 @settings(deadline=None, max_examples=50)

@@ -181,7 +181,7 @@ class TestStructure:
     def test_barycentric_weights_standalone_call(self):
         rule = sgg_rule(BasisSpec(alpha=0.5, length=2.0, degree=5))
         np.testing.assert_allclose(
-            barycentric_weights(rule), rule.bary_weights, atol=0
+            barycentric_weights(rule.spec, rule.nodes, rule.christoffel), rule.bary_weights, atol=0
         )
 
     def test_non_finite_weights_raise_typed_error(self):
