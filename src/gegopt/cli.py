@@ -10,8 +10,9 @@ accompany the objective:
         variable across time nodes (how well the zero-flux closure holds).
 
 A sweep runs a grid of cells, writes one report row per cell plus per-cell
-solution and profile files, and keeps going when individual cells fail
-(recording the failure in the report).  Exit codes: 0 all cells solved,
+solution and profile files (written by writer processes while the next
+cells solve), and keeps going when individual cells fail (recording the
+failure in the report).  Exit codes: 0 all cells solved,
 1 configuration error, 2 sweep finished with at least one failed cell.
 """
 
@@ -21,6 +22,8 @@ import argparse
 import contextlib
 import csv
 import json
+import os
+import pickle
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .interp import eval2d_grid
-from .nodes import sgg_rule
+from .nodes import QuadratureRule, sgg_rule
 from .polycore import BasisSpec
 from .qpsolve import QpSolution, solve
 from .transcribe import DiffusionOcp, Transcription, build, recover_state
@@ -233,32 +236,32 @@ def _fill(template: str, values: np.ndarray) -> str:
     return template % tuple(values.ravel().tolist())
 
 
-def _write_solution_csv(path: Path, sol: OcpSolution) -> None:
-    y_aug = np.append(sol.transcription.rule_y.nodes, 0.0)
-    t_nodes = sol.transcription.rule_t.nodes
+def _write_solution_csv(
+    path: Path, y_nodes: np.ndarray, t_nodes: np.ndarray,
+    phi: np.ndarray, u: np.ndarray, x: np.ndarray,
+) -> None:
+    y_aug = np.append(y_nodes, 0.0)
     i, j = np.divmod(np.arange(y_aug.size * t_nodes.size), t_nodes.size)
-    rows = np.column_stack(
-        [i, j, y_aug[i], t_nodes[j], sol.phi.ravel(), sol.u.ravel(), sol.x.ravel()]
-    )
+    rows = np.column_stack([i, j, y_aug[i], t_nodes[j], phi.ravel(), u.ravel(), x.ravel()])
     fmt = "%d,%d,%.16e,%.16e,%.16e,%.16e,%.16e\r\n"
     path.write_text(_fill("i,j,y,t,phi,u,x\r\n" + fmt * len(rows), rows), newline="")
 
 
 def _profile_samples(
-    sol: OcpSolution, samples: int
+    rule_y: QuadratureRule, rule_t: QuadratureRule, x: np.ndarray, u: np.ndarray, samples: int
 ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """The uniform samples ys and ts, the midline's y, and the (x, u) rows
-    of the state and control interpolants: the full samples x samples
-    tensor grid (y outer), then the midline at each t."""
-    trans = sol.transcription
-    rules = (trans.rule_y, trans.rule_t)
-    ys = np.linspace(0.0, trans.ocp.length, samples)
-    ts = np.linspace(0.0, trans.ocp.t_final, samples)
-    mid = 0.5 * trans.ocp.length
+    of the state and control interpolants over the interior rows of the
+    (N_y + 2, N_t + 1) grids x and u: the full samples x samples tensor grid
+    (y outer), then the midline at each t."""
+    rules = (rule_y, rule_t)
+    ys = np.linspace(0.0, rule_y.spec.length, samples)
+    ts = np.linspace(0.0, rule_t.spec.length, samples)
+    mid = 0.5 * rule_y.spec.length
     x, u = (
         np.concatenate([eval2d_grid(*rules, v, ys, ts).ravel(),
                         eval2d_grid(*rules, v, [mid], ts)[0]])
-        for v in (sol.x[: trans.grid.n_y + 1], sol.u[: trans.grid.n_y + 1])
+        for v in (x[: rule_y.nodes.size], u[: rule_y.nodes.size])
     )
     return ys, ts, mid, np.column_stack([x, u])
 
@@ -269,10 +272,12 @@ def emit_profiles(sol: OcpSolution, samples: int) -> list[tuple[str, float, floa
     Returns (section, y, t, x, u) tuples: a full tensor grid, then a slice
     along the spatial midline.
     """
-    ys, ts, mid, xu = _profile_samples(sol, samples)
+    trans = sol.transcription
+    ys, ts, mid, xu = _profile_samples(trans.rule_y, trans.rule_t, sol.x, sol.u, samples)
     ts = ts.tolist()
-    coords = [("grid", y, t) for y in ys.tolist() for t in ts] + [("midline", mid, t) for t in ts]
-    return [(*c, *row) for c, row in zip(coords, xu.tolist())]
+    heads = [("grid", y) for y in ys.tolist()] + [("midline", mid)]
+    coords = ((section, y, t) for section, y in heads for t in ts)
+    return [(*c, x, u) for c, x, u in zip(coords, *xu.T.tolist())]
 
 
 def _profile_template(ys: np.ndarray, ts: np.ndarray, mid: float) -> str:
@@ -284,26 +289,40 @@ def _profile_template(ys: np.ndarray, ts: np.ndarray, mid: float) -> str:
     return "".join(["section,y,t,x,u\r\n", *(head + head.join(tails) for head in heads)])
 
 
-def _write_profiles_csv(path: Path, sol: OcpSolution, samples: int) -> None:
-    ys, ts, mid, xu = _profile_samples(sol, samples)
+def _write_profiles_csv(
+    path: Path, rule_y: QuadratureRule, rule_t: QuadratureRule,
+    x: np.ndarray, u: np.ndarray, samples: int,
+) -> None:
+    ys, ts, mid, xu = _profile_samples(rule_y, rule_t, x, u, samples)
     path.write_text(_fill(_profile_template(ys, ts, mid), xu), newline="")
 
 
-def _dump_matrices(out_dir: Path, sol: OcpSolution) -> None:
-    qp = sol.transcription.qp
+def _dump_matrices(
+    out_dir: Path, h: np.ndarray, q: np.ndarray, b: np.ndarray, c: np.ndarray,
+    j0: float, n_y: int, n_t: int,
+) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, arr in (("H", qp.H), ("Q", qp.Q), ("b", qp.b[:, None]), ("c", qp.c[:, None])):
+    for name, arr in (("H", h), ("Q", q), ("b", b[:, None]), ("c", c[:, None])):
         fmt = ",".join(["%.16e"] * arr.shape[1]) + "\r\n"
         (out_dir / f"{name}.csv").write_text(_fill(fmt * len(arr), arr), newline="")
     meta = {
-        "j0": qp.j0,
-        "n_y": qp.grid.n_y,
-        "n_t": qp.grid.n_t,
-        "H_shape": list(qp.H.shape),
-        "Q_shape": list(qp.Q.shape),
+        "j0": j0,
+        "n_y": n_y,
+        "n_t": n_t,
+        "H_shape": list(h.shape),
+        "Q_shape": list(q.shape),
         "layout": "Z = [phi block, u block], blocks time-major with one y=0 column per time node",
     }
     (out_dir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+
+
+def _write_cell_files(
+    out: Path, tag: str, rule_y: QuadratureRule, rule_t: QuadratureRule,
+    phi: np.ndarray, u: np.ndarray, x: np.ndarray, samples: int,
+) -> None:
+    """One cell's solution and profile files: the job a writer process runs."""
+    _write_solution_csv(out / f"solution_{tag}.csv", rule_y.nodes, rule_t.nodes, phi, u, x)
+    _write_profiles_csv(out / f"profiles_{tag}.csv", rule_y, rule_t, x, u, samples)
 
 
 def _write_report(path: Path, records: Sequence[RunRecord]) -> None:
@@ -322,8 +341,117 @@ def _write_report(path: Path, records: Sequence[RunRecord]) -> None:
             )
 
 
+def _serve(job_fd: int, result_fd: int) -> None:
+    """A writer process's loop: run each pickled (function, args) job read
+    from job_fd until the sender closes it, skipping the rest once one
+    raises; then write that exception, pickled, to result_fd."""
+    error = None
+    with open(job_fd, "rb") as jobs:
+        while True:
+            try:
+                fn, args = pickle.load(jobs)
+            except EOFError:
+                break
+            if error is None:
+                try:
+                    fn(*args)
+                except Exception as exc:  # noqa: BLE001 - raised again by the pool
+                    error = exc
+    with open(result_fd, "wb") as result:
+        if error is not None:
+            pickle.dump(error, result)
+
+
+class _WriterPool:
+    """Writer processes, one per available core, forked on entry.  `submit`
+    sends a job to each in turn (blocking while that one's pipe is full);
+    leaving the block waits for every job and joins every writer, then
+    raises the first job's exception, or a writer's abnormal exit.
+
+    It needs only os and pickle, which NumPy has loaded: a
+    concurrent.futures pool, with its imports and threads, added about
+    2.4 MB to the peak RSS of a process running the paper's sweep.
+    """
+
+    def __init__(self) -> None:
+        self._workers: list[tuple[int, int, int]] = []  # pid, job fd, result fd
+        self._turn = 0
+
+    def __enter__(self) -> _WriterPool:
+        try:
+            for _ in range(len(os.sched_getaffinity(0))):
+                self._fork()
+        except BaseException:
+            self._join()
+            raise
+        return self
+
+    def _fork(self) -> None:
+        job_r, job_w = os.pipe()
+        result_r, result_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (job_r, job_w, result_r, result_w):
+                os.close(fd)
+            raise
+        if pid == 0:  # the writer; it leaves only through os._exit
+            code = 1
+            try:
+                inherited = [fd for _, job, result in self._workers for fd in (job, result)]
+                for fd in (job_w, result_r, *inherited):
+                    os.close(fd)
+                _serve(job_r, result_w)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(job_r)
+        os.close(result_w)
+        self._workers.append((pid, job_w, result_r))
+
+    def submit(self, fn: Callable, *args) -> None:
+        pid, fd, _ = self._workers[self._turn % len(self._workers)]
+        self._turn += 1
+        data = memoryview(pickle.dumps((fn, args), pickle.HIGHEST_PROTOCOL))
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        except BrokenPipeError as exc:
+            raise RuntimeError(f"writer process {pid} has exited") from exc
+
+    def _join(self) -> Exception | None:
+        """Close the job pipes, wait for every writer, and return the first
+        failure."""
+        for _, fd, _ in self._workers:
+            os.close(fd)
+        ends = []
+        for pid, _, result_fd in self._workers:
+            with open(result_fd, "rb") as result:
+                ends.append((pid, result.read(), os.waitpid(pid, 0)[1]))
+        self._workers = []
+        for pid, error, status in ends:
+            if error:
+                return pickle.loads(error)
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                return RuntimeError(f"writer process {pid} exited with code {code}")
+        return None
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        error = self._join()
+        if exc is None and error is not None:
+            raise error
+
+
 def run_sweep(config: RunConfig) -> tuple[list[RunRecord], dict[tuple[int, int, float], OcpSolution]]:
-    """Run every cell of the configuration; never stops at a failed cell."""
+    """Run every cell of the configuration; never stops at a failed cell.
+
+    With `config.out` set, the files of each solved cell are sampled,
+    formatted and written by writer processes (`_WriterPool`) while this
+    process solves the next cells; report.csv and config.json are written
+    here once every cell's files are.  A failed write raises, after every
+    writer has been joined, and leaves no report.
+    """
     cells = config.cells()
     ocp = DiffusionOcp(
         length=config.length,
@@ -337,20 +465,27 @@ def run_sweep(config: RunConfig) -> tuple[list[RunRecord], dict[tuple[int, int, 
     out = config.out
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    for n_y, n_t, alpha in cells:
-        try:
-            record, sol = run_single(ocp, n_y, n_t, alpha, config.eval_grid)
-        except Exception as exc:  # noqa: BLE001 - cell failures go in the report
-            records.append(RunRecord(n_y=n_y, n_t=n_t, alpha=alpha, error=str(exc)))
-            continue
-        records.append(record)
-        solutions[(n_y, n_t, alpha)] = sol
-        if out is not None:
-            tag = _cell_tag(n_y, n_t, alpha)
-            _write_solution_csv(out / f"solution_{tag}.csv", sol)
-            _write_profiles_csv(out / f"profiles_{tag}.csv", sol, config.eval_grid)
+    with (_WriterPool() if out is not None else contextlib.nullcontext()) as pool:
+        for n_y, n_t, alpha in cells:
+            try:
+                record, sol = run_single(ocp, n_y, n_t, alpha, config.eval_grid)
+            except Exception as exc:  # noqa: BLE001 - cell failures go in the report
+                records.append(RunRecord(n_y=n_y, n_t=n_t, alpha=alpha, error=str(exc)))
+                continue
+            records.append(record)
+            solutions[(n_y, n_t, alpha)] = sol
+            if pool is None:
+                continue
+            # Only the cell's small arrays travel; the sampled grids are made
+            # in the writer.  OcpSolution does not pickle: its problem holds
+            # the initial profile as a closure.
+            tag, trans = _cell_tag(n_y, n_t, alpha), sol.transcription
+            pool.submit(_write_cell_files, out, tag, trans.rule_y, trans.rule_t,
+                        sol.phi, sol.u, sol.x, config.eval_grid)
             if config.dump_matrices:
-                _dump_matrices(out / f"matrices_{tag}", sol)
+                qp = trans.qp
+                pool.submit(_dump_matrices, out / f"matrices_{tag}",
+                            qp.H, qp.Q, qp.b, qp.c, qp.j0, n_y, n_t)
     if out is not None:
         _write_report(out / "report.csv", records)
         flags = {name: flag for flag, name in _FIELDS.items()}

@@ -25,7 +25,7 @@ import pytest
 from conftest import reachable_arrays, solve_reference_cell, reference_ocp
 
 import gegopt
-from gegopt import transcribe
+from gegopt import cli, transcribe
 from gegopt.cli import (
     ALPHA_WINDOW,
     MAX_RANGE_VALUES,
@@ -33,10 +33,12 @@ from gegopt.cli import (
     RunConfig,
     RunRecord,
     _build_parser,
+    _dump_matrices,
     _fill,
     _parse_range,
     _stage,
     _write_profiles_csv,
+    _write_solution_csv,
     emit_profiles,
     main,
     parse_initial_profile,
@@ -294,6 +296,13 @@ class TestEmitProfiles:
         assert all(r[1] == pytest.approx(2.0) for r in midline)
         assert len(midline) == 9
 
+    @pytest.mark.parametrize("samples", [2, 7, 101])
+    def test_rows_equal_reference_samples(self, samples):
+        _, sol = solve_reference_cell(5, 0.3)
+        rows = emit_profiles(sol, samples)
+        assert rows == _reference_profile_rows(sol, samples)
+        assert all(type(v) is float for row in rows for v in row[1:])
+
 
 class TestMainOutputs:
     def run_main(self, tmp_path, extra):
@@ -415,7 +424,7 @@ def _reference_solution_csv(path, sol):
                 )
 
 
-def _reference_profiles_csv(path, sol, samples):
+def _reference_profile_rows(sol, samples):
     trans = sol.transcription
     n_y = trans.grid.n_y
     rules = (trans.rule_y, trans.rule_t)
@@ -430,10 +439,14 @@ def _reference_profiles_csv(path, sol, samples):
     xm = eval2d_grid(*rules, x, [mid], ts)[0]
     um = eval2d_grid(*rules, u, [mid], ts)[0]
     rows.extend(("midline", mid, ts[it], xm[it], um[it]) for it in range(samples))
+    return rows
+
+
+def _reference_profiles_csv(path, sol, samples):
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["section", "y", "t", "x", "u"])
-        for section, y, t, xv, uv in rows:
+        for section, y, t, xv, uv in _reference_profile_rows(sol, samples):
             writer.writerow([section, f"{y:.16e}", f"{t:.16e}", f"{xv:.16e}", f"{uv:.16e}"])
 
 
@@ -511,10 +524,11 @@ class TestArtifactBytes:
         times the file's own bytes."""
         _, sol = solve_reference_cell(8, 0.0)
         path = tmp_path / "profiles.csv"
-        _write_profiles_csv(path, sol, 101)  # lazy NumPy imports
+        args = (sol.transcription.rule_y, sol.transcription.rule_t, sol.x, sol.u, 101)
+        _write_profiles_csv(path, *args)  # lazy NumPy imports
         tracemalloc.start()
         try:
-            _write_profiles_csv(path, sol, 101)
+            _write_profiles_csv(path, *args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -534,6 +548,85 @@ class TestArtifactBytes:
         parsed = [float(line.split(",")[1]) for line in got.splitlines()]
         assert np.array_equal(parsed, values, equal_nan=True)
         assert [math.copysign(1.0, v) for v in parsed] == [math.copysign(1.0, v) for v in values]
+
+
+def _assert_no_child_process():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _exit_writer(*args):
+    os._exit(3)
+
+
+class TestWriterPool:
+    """With an output directory, a sweep's cell files are written by writer
+    processes, each of which is joined before `run_sweep` returns or raises."""
+
+    def test_files_equal_in_process_writers_around_a_failed_cell(self, tmp_path, monkeypatch):
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        main_pid, fill = os.getpid(), cli._fill
+
+        def fill_in_a_worker(template, values):
+            assert os.getpid() != main_pid, "a cell file was formatted in the main process"
+            return fill(template, values)
+
+        monkeypatch.setattr(cli, "_fill", fill_in_a_worker)
+        # alpha = -0.4999999 fails in the solve at every N, so the cells run
+        # failed, solved, failed, solved.
+        config = RunConfig(n_y=(4, 5), alphas=(-0.4999999, 0.3), sweep=True, out=out,
+                           eval_grid=11, dump_matrices=True)
+        records, solutions = run_sweep(config)
+        monkeypatch.undo()
+        _assert_no_child_process()
+        assert [bool(r.error) for r in records] == [True, False, True, False]
+        ref.mkdir()
+        for (n_y, n_t, alpha), sol in solutions.items():
+            tag = f"{n_y}_{alpha:g}"
+            rule_y, rule_t = sol.transcription.rule_y, sol.transcription.rule_t
+            _write_solution_csv(ref / f"solution_{tag}.csv", rule_y.nodes, rule_t.nodes,
+                                sol.phi, sol.u, sol.x)
+            _write_profiles_csv(ref / f"profiles_{tag}.csv", rule_y, rule_t, sol.x, sol.u, 11)
+            qp = sol.transcription.qp
+            _dump_matrices(ref / f"matrices_{tag}", qp.H, qp.Q, qp.b, qp.c, qp.j0, n_y, n_t)
+        files = sorted(str(p.relative_to(ref)) for p in ref.rglob("*") if p.is_file())
+        assert len(files) == 2 * (2 + 5)
+        written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+        assert written == sorted([*files, "config.json", "report.csv"])
+        for name in files:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+    def test_failed_write_raises_and_leaves_no_report(self, tmp_path):
+        (tmp_path / "solution_5_0.csv").mkdir()
+        config = RunConfig(n_y=(4, 5, 6), sweep=True, out=tmp_path, eval_grid=11)
+        with pytest.raises(IsADirectoryError):
+            run_sweep(config)
+        assert not (tmp_path / "report.csv").exists()
+        assert not (tmp_path / "config.json").exists()
+        _assert_no_child_process()
+
+    def test_interrupted_sweep_leaves_no_worker(self, tmp_path, monkeypatch):
+        solve_cell = run_single
+
+        def interrupt_at_five(ocp, n_y, *args):
+            if n_y == 5:
+                raise KeyboardInterrupt
+            return solve_cell(ocp, n_y, *args)
+
+        monkeypatch.setattr(cli, "run_single", interrupt_at_five)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(RunConfig(n_y=(4, 5, 6), sweep=True, out=tmp_path, eval_grid=11))
+        _assert_no_child_process()
+        assert (tmp_path / "profiles_4_0.csv").exists()
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_writer_exit_raises_and_leaves_no_report(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_write_cell_files", _exit_writer)
+        with pytest.raises(RuntimeError, match=r"writer process \d+ (exited with code 3|has exited)"):
+            run_sweep(RunConfig(n_y=(4, 5, 6), sweep=True, out=tmp_path, eval_grid=11))
+        _assert_no_child_process()
+        assert not (tmp_path / "report.csv").exists()
 
 
 class TestExitCodes:
@@ -637,31 +730,48 @@ class TestExitCodes:
         assert "--dump-matrices" in proc.stdout
 
 
+def _modules_loaded_by_a_run(prefixes, out):
+    """The loaded modules named by, or inside, one of `prefixes` after a
+    fresh process imports every gegopt module, solves one cell and runs
+    the command line with its files written to `out`."""
+    package_root = Path(gegopt.__file__).resolve().parents[1]
+    child = (
+        "import sys\n"
+        "import gegopt, gegopt.cli, gegopt.bounds, gegopt.intmat, gegopt.interp\n"
+        "import gegopt.nodes, gegopt.polycore, gegopt.qpsolve, gegopt.transcribe\n"
+        "from gegopt.cli import main, run_single\n"
+        "from gegopt.transcribe import DiffusionOcp\n"
+        "ocp = DiffusionOcp(length=4.0, t_final=1.0, r1=0.5, r2=0.5, initial=lambda y: 1.0 + y)\n"
+        "record, _ = run_single(ocp, 4, 4, 0.0)\n"
+        "assert record.error == '' and record.j > 0.0\n"
+        f"assert main(['--Ny', '4', '--eval-grid', '11', '--out', {str(out)!r}]) == 0\n"
+        f"prefixes = {tuple(prefixes)!r}\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m in prefixes or m.startswith(tuple(p + '.' for p in prefixes))))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        capture_output=True,
+        text=True,
+        check=False,
+        env=dict(os.environ, PYTHONPATH=str(package_root)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "report.csv").exists()
+    return proc.stdout.splitlines()[-1]
+
+
 class TestRuntimeDependencies:
-    def test_package_loads_no_scipy(self):
-        # SciPy is a test-only dependency: importing every module and solving
-        # a cell must not load it.
-        package_root = Path(gegopt.__file__).resolve().parents[1]
-        child = (
-            "import sys\n"
-            "import gegopt, gegopt.cli, gegopt.bounds, gegopt.intmat, gegopt.interp\n"
-            "import gegopt.nodes, gegopt.polycore, gegopt.qpsolve, gegopt.transcribe\n"
-            "from gegopt.cli import run_single\n"
-            "from gegopt.transcribe import DiffusionOcp\n"
-            "ocp = DiffusionOcp(length=4.0, t_final=1.0, r1=0.5, r2=0.5, initial=lambda y: 1.0 + y)\n"
-            "record, _ = run_single(ocp, 4, 4, 0.0)\n"
-            "assert record.error == '' and record.j > 0.0\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", child],
-            capture_output=True,
-            text=True,
-            check=False,
-            env=dict(os.environ, PYTHONPATH=str(package_root)),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+    def test_package_loads_no_scipy(self, tmp_path):
+        # SciPy is a test-only dependency: importing every module, solving a
+        # cell and writing a sweep's files must not load it.
+        assert _modules_loaded_by_a_run(["scipy"], tmp_path) == "[]"
+
+    def test_sweep_loads_no_process_pool_machinery(self, tmp_path):
+        # The writer pool forks with os and pickle alone.  Importing
+        # concurrent.futures.process costs a fresh process 5-8 ms and added
+        # about 1.5 MB to a paper_sweep run's peak RSS.
+        assert _modules_loaded_by_a_run(["concurrent", "multiprocessing"], tmp_path) == "[]"
 
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
