@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 
 """Solve the benchmark problem (L=4, tf=1, r1=r2=1/2, f(y) = 1 + y) on the
-N = 64, 96 and 128 grids at alpha = 0, each cell in a fresh process, and
-report its wall time, peak resident memory, cost error |J - J*|, CG
-iterations and condition estimate.
+N = 64, 96, 128, 160, 200 and 256 grids at alpha = 0, each cell in a fresh
+process, and report its wall time, peak resident memory, cost error
+|J - J*|, CG iterations and condition estimate.
 
 The solve works on the Kronecker factors of the program and forms no array
 of O(N^4) entries, so these cells need tens of MB.  Each process may map at
@@ -24,7 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 #: Grid sizes N = N_y = N_t, solved at ALPHA.
-SIZES = (64, 96, 128)
+SIZES = (64, 96, 128, 160, 200, 256)
 ALPHA = 0.0
 
 #: Address space allowed to each cell's process.

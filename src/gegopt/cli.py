@@ -9,10 +9,11 @@ accompany the objective:
   psi2: largest magnitude of the full-interval integral of the curvature
         variable across time nodes (how well the zero-flux closure holds).
 
-A sweep runs a grid of cells, writes one report row per cell plus per-cell
-solution and profile files (written by writer processes while the next
-cells solve), and keeps going when individual cells fail (recording the
-failure in the report).  Exit codes: 0 all cells solved,
+A sweep runs a grid of cells, writes each solved cell's solution and
+profile files as soon as it solves, then one report row per cell, and
+keeps going when individual cells fail (recording the failure in the
+report).  Every computed CSV field is `%.16e`, converted from NumPy arrays
+by `_format16e`.  Exit codes: 0 all cells solved,
 1 configuration error, 2 sweep finished with at least one failed cell.
 """
 
@@ -21,9 +22,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
-import os
-import pickle
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -64,6 +64,13 @@ class ConfigError(ValueError):
     """Invalid run configuration (maps to exit code 1)."""
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise ConfigError for a family parameter outside ALPHA_WINDOW."""
+    low, high = ALPHA_WINDOW
+    if not low < alpha < high:
+        raise ConfigError(f"alpha={alpha:g} is outside the window ({low:g}, {high:g})")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One experiment: problem data plus the cells to run."""
@@ -87,10 +94,8 @@ class RunConfig:
         for n in (*self.n_y, *(self.n_t or ())):
             if n < 1:
                 raise ConfigError(f"grid size {n} is below 1")
-        low, high = ALPHA_WINDOW
         for alpha in self.alphas:
-            if not low < alpha < high:
-                raise ConfigError(f"alpha={alpha:g} is outside the window ({low:g}, {high:g})")
+            _check_alpha(alpha)
 
     def cells(self) -> list[tuple[int, int, float]]:
         """Deterministic cell list, sorted by grid size then alpha."""
@@ -191,6 +196,7 @@ def run_single(
     """Build, solve and score one cell."""
     if eval_grid < 2:
         raise ConfigError("eval grid needs at least two sample points")
+    _check_alpha(alpha)
     start = time.perf_counter()
     with _stage("rules", n_y, n_t, alpha):
         rule_y = sgg_rule(BasisSpec(alpha=alpha, length=ocp.length, degree=n_y))
@@ -229,11 +235,111 @@ def _cell_tag(n_y: int, n_t: int, alpha: float) -> str:
     return f"{n}_{alpha:g}"
 
 
-def _fill(template: str, values: np.ndarray) -> str:
-    """`template % values`, the values taken in row order.  Writers build
-    the template from %.16e fields and \\r\\n endings: the bytes csv.writer
-    gives for f"{v:.16e}"."""
-    return template % tuple(values.ravel().tolist())
+#: Bytes of one %.16e field: "-1.2345678901234567e-308" at most.
+_FIELD = 24
+
+#: 10^k is tabled for |k| <= _POWERS, past 16 - E for every double.
+_POWERS = 350
+
+#: Mantissa bits np.longdouble needs for `_format16e`'s own digits (x87
+#: has 63); with fewer, as where it is float64, every value goes to %.
+_MANTISSA_BITS = 63
+
+#: Bytes of text `_write_csv` assembles at a time: about 2,400 profile rows.
+_BLOCK_BYTES = 1 << 18
+
+
+@functools.cache
+def _format_tables() -> tuple[np.ndarray, ...]:
+    """By i = k + _POWERS: 10^k in np.longdouble, parsed from "1e{k}" so
+    that it is correctly rounded, the tie window and the exponent 16 - k;
+    then the 4-byte words "[-]d.d", "dddd" and "ddde"."""
+    ks = np.arange(-_POWERS, _POWERS + 1)
+    words = (
+        [b"%+03d" % (16 - k) for k in ks],
+        [b"%s%d.%d" % (sign, d // 10, d % 10) for sign in (b"\0", b"-") for d in range(100)],
+        [b"%04d" % d for d in range(10_000)],
+        [b"%03de" % d for d in range(1_000)],
+    )
+    return (
+        np.array([f"1e{k}" for k in ks], dtype=np.longdouble),
+        np.where((ks >= 0) & (ks <= 27), 0.006, 0.03),
+        *(np.array(w, dtype="S4").view(np.uint32) for w in words),
+    )
+
+
+def _format16e(values: np.ndarray) -> np.ndarray:
+    """`b"%.16e" % v` for each value, NUL-padded to _FIELD bytes.
+
+    With E = floor(log10|v|), s = |v| 10^(16 - E) in np.longdouble lies in
+    [1e16, 1e17) after at most one correction of E, within 0.004 of a last
+    digit where 10^(16 - E) is exact (0 <= 16 - E <= 27) and 0.011
+    elsewhere.  Rounded half-up, s gives the 17 correctly rounded digits
+    unless its fraction is within a wider window of 1/2 (Steele & White,
+    PLDI 1990; Gay, AT&T NAM 90-10, 1990).  Those near-ties, zero, nan and
+    inf go to % in one batched call.
+    """
+    v = np.ravel(np.asarray(values, dtype=np.float64))
+    out = np.empty((v.size, _FIELD // 4), np.uint32)
+    fallback = ~np.isfinite(v) | (v == 0.0)
+    if np.finfo(np.longdouble).nmant < _MANTISSA_BITS:
+        fallback[:] = True
+    else:
+        powers, windows, exps, heads, quads, tails = _format_tables()
+        a = np.where(fallback, 1.0, np.abs(v))
+        i = _POWERS + 16 - np.floor(np.log10(a)).astype(np.intp)
+        s = a.astype(np.longdouble) * powers[i]
+        off = np.flatnonzero((s < 1e16) | (s >= 1e17))
+        i[off] += np.where(s[off] < 1e16, 1, -1)
+        s[off] = a[off] * powers[i[off]]
+        off = off[(s[off] < 1e16) | (s[off] >= 1e17)]
+        fallback[off], s[off] = True, 1e16
+        q = s.astype(np.uint64)
+        frac = (s - q).astype(np.float64)
+        fallback |= np.abs(frac - 0.5) <= windows[i]
+        q += frac > 0.5
+        carry = np.flatnonzero(q == 10**17)
+        q[carry], i[carry] = 10**16, i[carry] - 1
+        head, r = np.divmod(q, 10**15)
+        out[:, 0] = heads[np.where(v < 0.0, head + 100, head)]
+        out[:, 1] = quads[r // 10**11]
+        out[:, 2] = quads[r // 10**7 % 10**4]
+        out[:, 3] = quads[r // 10**3 % 10**4]
+        out[:, 4] = tails[r % 10**3]
+        out[:, 5] = exps[i]
+    rest = np.flatnonzero(fallback)
+    if rest.size:
+        text = (b"%.16e\n" * rest.size % tuple(v[rest].tolist())).split()
+        out[rest] = np.array(text, dtype=f"S{_FIELD}").view(np.uint32).reshape(-1, _FIELD // 4)
+    return out.view(f"S{_FIELD}").ravel()
+
+
+def _write_csv(
+    path: Path, head: bytes, text: Sequence[tuple[np.ndarray, np.ndarray]], values: np.ndarray,
+) -> None:
+    """Write `head`, then one row per row of the (n, k) float `values`: the
+    text columns, then the k values as %.16e, comma-separated and ended by
+    \r\n.  A text column (cells, index) gives row r the NUL-padded bytes
+    cells[index[r]].  Rows are assembled _BLOCK_BYTES at a time and written
+    without their NULs, so the file's padded text is never held whole."""
+    n, k = values.shape
+    widths = [cells.itemsize for cells, _ in text]
+    starts = np.cumsum([0, *widths]) + np.arange(len(widths) + 1)
+    width = starts[-1] + (_FIELD + 1) * k + 1
+    block = np.zeros((max(1, _BLOCK_BYTES // width), width), np.uint8)
+    block[:, starts[1:] - 1] = ord(",")
+    block[:, starts[-1] + _FIELD::_FIELD + 1] = ord(",")
+    block[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+    fields = block[:, starts[-1]:-1].reshape(len(block), k, _FIELD + 1)[:, :, :_FIELD]
+    with path.open("wb") as fh:
+        fh.write(head)
+        for lo in range(0, n, len(block)):
+            rows = slice(lo, lo + len(block))
+            m = len(values[rows])
+            for (cells, index), start, w in zip(text, starts, widths):
+                block[:m, start:start + w] = cells[index[rows]].view(np.uint8).reshape(m, w)
+            fields[:m] = _format16e(values[rows]).view(np.uint8).reshape(m, k, _FIELD)
+            fh.write(block[:m].tobytes().translate(None, b"\0"))
 
 
 def _write_solution_csv(
@@ -242,9 +348,12 @@ def _write_solution_csv(
 ) -> None:
     y_aug = np.append(y_nodes, 0.0)
     i, j = np.divmod(np.arange(y_aug.size * t_nodes.size), t_nodes.size)
-    rows = np.column_stack([i, j, y_aug[i], t_nodes[j], phi.ravel(), u.ravel(), x.ravel()])
-    fmt = "%d,%d,%.16e,%.16e,%.16e,%.16e,%.16e\r\n"
-    path.write_text(_fill("i,j,y,t,phi,u,x\r\n" + fmt * len(rows), rows), newline="")
+    counts = np.array([b"%d" % c for c in range(max(y_aug.size, t_nodes.size))])
+    _write_csv(
+        path, b"i,j,y,t,phi,u,x\r\n",
+        [(counts, i), (counts, j), (_format16e(y_aug), i), (_format16e(t_nodes), j)],
+        np.column_stack([phi.ravel(), u.ravel(), x.ravel()]),
+    )
 
 
 def _profile_samples(
@@ -280,21 +389,20 @@ def emit_profiles(sol: OcpSolution, samples: int) -> list[tuple[str, float, floa
     return [(*c, x, u) for c, x, u in zip(coords, *xu.T.tolist())]
 
 
-def _profile_template(ys: np.ndarray, ts: np.ndarray, mid: float) -> str:
-    """The profile file with x and u left as %.16e fields: the header, one
-    grid row per (y, t), y outer, then one midline row per t.  Each
-    coordinate is formatted once."""
-    tails = ["%.16e,%%.16e,%%.16e\r\n" % t for t in ts.tolist()]
-    heads = ["grid,%.16e," % y for y in ys.tolist()] + ["midline,%.16e," % mid]
-    return "".join(["section,y,t,x,u\r\n", *(head + head.join(tails) for head in heads)])
-
-
 def _write_profiles_csv(
     path: Path, rule_y: QuadratureRule, rule_t: QuadratureRule,
     x: np.ndarray, u: np.ndarray, samples: int,
 ) -> None:
+    """The header, one grid row per (y, t), y outer, then one midline row
+    per t; each coordinate is formatted once."""
     ys, ts, mid, xu = _profile_samples(rule_y, rule_t, x, u, samples)
-    path.write_text(_fill(_profile_template(ys, ts, mid), xu), newline="")
+    head, t = np.divmod(np.arange(len(xu)), ts.size)  # head ys.size is the midline
+    _write_csv(
+        path, b"section,y,t,x,u\r\n",
+        [(np.array([b"grid", b"midline"]), head // ys.size),
+         (_format16e(np.append(ys, mid)), head), (_format16e(ts), t)],
+        xu,
+    )
 
 
 def _dump_matrices(
@@ -303,8 +411,7 @@ def _dump_matrices(
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, arr in (("H", h), ("Q", q), ("b", b[:, None]), ("c", c[:, None])):
-        fmt = ",".join(["%.16e"] * arr.shape[1]) + "\r\n"
-        (out_dir / f"{name}.csv").write_text(_fill(fmt * len(arr), arr), newline="")
+        _write_csv(out_dir / f"{name}.csv", b"", [], arr)
     meta = {
         "j0": j0,
         "n_y": n_y,
@@ -314,15 +421,6 @@ def _dump_matrices(
         "layout": "Z = [phi block, u block], blocks time-major with one y=0 column per time node",
     }
     (out_dir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-
-
-def _write_cell_files(
-    out: Path, tag: str, rule_y: QuadratureRule, rule_t: QuadratureRule,
-    phi: np.ndarray, u: np.ndarray, x: np.ndarray, samples: int,
-) -> None:
-    """One cell's solution and profile files: the job a writer process runs."""
-    _write_solution_csv(out / f"solution_{tag}.csv", rule_y.nodes, rule_t.nodes, phi, u, x)
-    _write_profiles_csv(out / f"profiles_{tag}.csv", rule_y, rule_t, x, u, samples)
 
 
 def _write_report(path: Path, records: Sequence[RunRecord]) -> None:
@@ -341,116 +439,13 @@ def _write_report(path: Path, records: Sequence[RunRecord]) -> None:
             )
 
 
-def _serve(job_fd: int, result_fd: int) -> None:
-    """A writer process's loop: run each pickled (function, args) job read
-    from job_fd until the sender closes it, skipping the rest once one
-    raises; then write that exception, pickled, to result_fd."""
-    error = None
-    with open(job_fd, "rb") as jobs:
-        while True:
-            try:
-                fn, args = pickle.load(jobs)
-            except EOFError:
-                break
-            if error is None:
-                try:
-                    fn(*args)
-                except Exception as exc:  # noqa: BLE001 - raised again by the pool
-                    error = exc
-    with open(result_fd, "wb") as result:
-        if error is not None:
-            pickle.dump(error, result)
-
-
-class _WriterPool:
-    """Writer processes, one per available core, forked on entry.  `submit`
-    sends a job to each in turn (blocking while that one's pipe is full);
-    leaving the block waits for every job and joins every writer, then
-    raises the first job's exception, or a writer's abnormal exit.
-
-    It needs only os and pickle, which NumPy has loaded: a
-    concurrent.futures pool, with its imports and threads, added about
-    2.4 MB to the peak RSS of a process running the paper's sweep.
-    """
-
-    def __init__(self) -> None:
-        self._workers: list[tuple[int, int, int]] = []  # pid, job fd, result fd
-        self._turn = 0
-
-    def __enter__(self) -> _WriterPool:
-        try:
-            for _ in range(len(os.sched_getaffinity(0))):
-                self._fork()
-        except BaseException:
-            self._join()
-            raise
-        return self
-
-    def _fork(self) -> None:
-        job_r, job_w = os.pipe()
-        result_r, result_w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (job_r, job_w, result_r, result_w):
-                os.close(fd)
-            raise
-        if pid == 0:  # the writer; it leaves only through os._exit
-            code = 1
-            try:
-                inherited = [fd for _, job, result in self._workers for fd in (job, result)]
-                for fd in (job_w, result_r, *inherited):
-                    os.close(fd)
-                _serve(job_r, result_w)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(job_r)
-        os.close(result_w)
-        self._workers.append((pid, job_w, result_r))
-
-    def submit(self, fn: Callable, *args) -> None:
-        pid, fd, _ = self._workers[self._turn % len(self._workers)]
-        self._turn += 1
-        data = memoryview(pickle.dumps((fn, args), pickle.HIGHEST_PROTOCOL))
-        try:
-            while data:
-                data = data[os.write(fd, data):]
-        except BrokenPipeError as exc:
-            raise RuntimeError(f"writer process {pid} has exited") from exc
-
-    def _join(self) -> Exception | None:
-        """Close the job pipes, wait for every writer, and return the first
-        failure."""
-        for _, fd, _ in self._workers:
-            os.close(fd)
-        ends = []
-        for pid, _, result_fd in self._workers:
-            with open(result_fd, "rb") as result:
-                ends.append((pid, result.read(), os.waitpid(pid, 0)[1]))
-        self._workers = []
-        for pid, error, status in ends:
-            if error:
-                return pickle.loads(error)
-            if status:
-                code = os.waitstatus_to_exitcode(status)
-                return RuntimeError(f"writer process {pid} exited with code {code}")
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        error = self._join()
-        if exc is None and error is not None:
-            raise error
-
-
 def run_sweep(config: RunConfig) -> tuple[list[RunRecord], dict[tuple[int, int, float], OcpSolution]]:
     """Run every cell of the configuration; never stops at a failed cell.
 
-    With `config.out` set, the files of each solved cell are sampled,
-    formatted and written by writer processes (`_WriterPool`) while this
-    process solves the next cells; report.csv and config.json are written
-    here once every cell's files are.  A failed write raises, after every
-    writer has been joined, and leaves no report.
+    With `config.out` set, each solved cell's files are written as soon as
+    it solves, and report.csv and config.json once every cell has run.  A
+    failed write raises its OSError and leaves no report; the files of the
+    cells before it stay.
     """
     cells = config.cells()
     ocp = DiffusionOcp(
@@ -465,27 +460,24 @@ def run_sweep(config: RunConfig) -> tuple[list[RunRecord], dict[tuple[int, int, 
     out = config.out
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    with (_WriterPool() if out is not None else contextlib.nullcontext()) as pool:
-        for n_y, n_t, alpha in cells:
-            try:
-                record, sol = run_single(ocp, n_y, n_t, alpha, config.eval_grid)
-            except Exception as exc:  # noqa: BLE001 - cell failures go in the report
-                records.append(RunRecord(n_y=n_y, n_t=n_t, alpha=alpha, error=str(exc)))
-                continue
-            records.append(record)
-            solutions[(n_y, n_t, alpha)] = sol
-            if pool is None:
-                continue
-            # Only the cell's small arrays travel; the sampled grids are made
-            # in the writer.  OcpSolution does not pickle: its problem holds
-            # the initial profile as a closure.
-            tag, trans = _cell_tag(n_y, n_t, alpha), sol.transcription
-            pool.submit(_write_cell_files, out, tag, trans.rule_y, trans.rule_t,
-                        sol.phi, sol.u, sol.x, config.eval_grid)
-            if config.dump_matrices:
-                qp = trans.qp
-                pool.submit(_dump_matrices, out / f"matrices_{tag}",
-                            qp.H, qp.Q, qp.b, qp.c, qp.j0, n_y, n_t)
+    for n_y, n_t, alpha in cells:
+        try:
+            record, sol = run_single(ocp, n_y, n_t, alpha, config.eval_grid)
+        except Exception as exc:  # noqa: BLE001 - cell failures go in the report
+            records.append(RunRecord(n_y=n_y, n_t=n_t, alpha=alpha, error=str(exc)))
+            continue
+        records.append(record)
+        solutions[(n_y, n_t, alpha)] = sol
+        if out is None:
+            continue
+        tag, trans = _cell_tag(n_y, n_t, alpha), sol.transcription
+        _write_solution_csv(out / f"solution_{tag}.csv", trans.rule_y.nodes, trans.rule_t.nodes,
+                            sol.phi, sol.u, sol.x)
+        _write_profiles_csv(out / f"profiles_{tag}.csv", trans.rule_y, trans.rule_t,
+                            sol.x, sol.u, config.eval_grid)
+        if config.dump_matrices:
+            qp = trans.qp
+            _dump_matrices(out / f"matrices_{tag}", qp.H, qp.Q, qp.b, qp.c, qp.j0, n_y, n_t)
     if out is not None:
         _write_report(out / "report.csv", records)
         flags = {name: flag for flag, name in _FIELDS.items()}

@@ -23,18 +23,19 @@ control term, which fast diagonalization on the space side applies exactly
 (Benzi, Golub & Liesen, Acta Numer. 14 (2005); Lynch, Rice & Thomas,
 Numer. Math. 6 (1964)).  No array of O(N^4) entries is formed, and no
 matrix larger than a time or space factor is factored.
-The result is lifted back to Z and lambda.  `solve` takes one correction
-step twice from Z = lambda = 0: each maps the residual of the full saddle
+The result is lifted back to Z and lambda.  `solve` takes correction
+steps from Z = lambda = 0: each maps the residual of the full saddle
 system through the condensing, solves, and subtracts the result.  The
-first step gives the solution, the second refines it; a refinement on the
-condensed residual alone would not see the round-off that D = P1^-1
-carries into the condensed Hessian, squared in its control term.  The
-N_t + 1 split directions that the condensing removes are the reported rank
-deficiency, and `iterations` counts the CG steps of both solves.
+first step gives the solution, the next ones refine it until the residual
+is at round-off; a refinement on the condensed residual alone would not
+see the round-off that D = P1^-1 carries into the condensed Hessian,
+squared in its control term.  The N_t + 1 split directions that the
+condensing removes are the reported rank deficiency, and `iterations`
+counts the CG steps of every solve.
 
 A cell fails with SolveError naming the step: the preconditioner cannot be
-set up (a singular or non-finite P1^-1 or diagonalization), CG on the first
-or on the refinement solve does not converge, or the refined full residual
+set up (a singular or non-finite P1^-1 or diagonalization), CG on one of
+the solves does not converge, or the refined full residual
 is not at round-off (below ROUND_OFF times the magnitude of the terms it
 sums; this also catches a residual that is not a number).  An inconsistent
 result and an objective that overflows end in SolveError too.
@@ -70,6 +71,12 @@ CG_MAX_ITERATIONS = 2000
 #: of the terms it sums, or the cell fails.
 ROUND_OFF = 1e-12
 
+#: The correction steps, at least two: from N = 200 on a third can be needed
+#: (the second leaves 1.6e-11 at N = 200, alpha = 0).  A later step that
+#: would move Z by more than CG_TOL of its size is not taken: it corrects
+#: more than round-off, as where the refinement stalls (alpha >= 15).
+CORRECTION_STEPS = ("first", "refinement", "second refinement", "third refinement")
+
 
 class SolveError(RuntimeError):
     """The saddle system could not be solved to the required residuals."""
@@ -93,11 +100,6 @@ class QpSolution:
     kkt_condition: float
     kkt_rank_deficiency: int
     iterations: int
-
-
-def _residual(qp: DiscreteQp, z: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residual of the full saddle system: (stationarity, constraints)."""
-    return 2.0 * qp.q_mul(z) + qp.c + qp.ht_mul(lam), qp.h_mul(z) - qp.b
 
 
 def _check_factors(qp: DiscreteQp) -> None:
@@ -284,8 +286,8 @@ class _Condensed:
 
 
 def solve(qp: DiscreteQp) -> QpSolution:
-    """Solve a transcribed QP through its factors by one correction step
-    on the full saddle residual, taken twice from Z = lambda = 0; returns
+    """Solve a transcribed QP through its factors by correction steps on
+    the full saddle residual from Z = lambda = 0 (CORRECTION_STEPS); returns
     the minimum-norm first-order optimal point.  Raises ValueError for
     non-finite factors and SolveError naming the step that fails."""
     _check_factors(qp)
@@ -294,20 +296,23 @@ def solve(qp: DiscreteQp) -> QpSolution:
     except np.linalg.LinAlgError as exc:
         raise SolveError(f"preconditioner setup failed: {exc}") from exc
     z, lam, cg = np.zeros(qp.grid.n_unknowns), np.zeros_like(qp.b), []
-    for step in ("first", "refinement"):
-        r_s, r_c = _residual(qp, z, lam)
-        dz, dlam, alphas, betas = condensed.solve(-r_s, r_c, step)
-        z, lam = z - dz, lam - dlam
+    while True:
+        # Residual of the full saddle system: stationarity, then constraints.
+        qz, ht = qp.q_mul(z), qp.ht_mul(lam)
+        r_s, r_c = 2.0 * qz + qp.c + ht, qp.h_mul(z) - qp.b
+        if len(cg) >= 2:
+            stationarity, feasibility = float(np.max(np.abs(r_s))), float(np.max(np.abs(r_c)))
+            grad = np.max(2.0 * np.abs(qz) + np.abs(qp.c) + np.abs(ht))
+            rows = np.max(qp.h_terms(z) + np.abs(qp.b))
+            at_round_off = stationarity <= ROUND_OFF * grad and feasibility <= ROUND_OFF * rows
+            if at_round_off or len(cg) == len(CORRECTION_STEPS):
+                break
+        dz, dlam, alphas, betas = condensed.solve(-r_s, r_c, CORRECTION_STEPS[len(cg)])
         cg.append((alphas, betas))
-    (alphas, betas), (refinement, _) = cg
-
-    # Residual of the full saddle system: stationarity, then constraints.
-    qz, ht = qp.q_mul(z), qp.ht_mul(lam)
-    r_s, r_c = 2.0 * qz + qp.c + ht, qp.h_mul(z) - qp.b
-    stationarity, feasibility = float(np.max(np.abs(r_s))), float(np.max(np.abs(r_c)))
-    grad = np.max(2.0 * np.abs(qz) + np.abs(qp.c) + np.abs(ht))
-    rows = np.max(qp.h_terms(z) + np.abs(qp.b))
-    if not (stationarity <= ROUND_OFF * grad and feasibility <= ROUND_OFF * rows):
+        if len(cg) > 2 and np.max(np.abs(dz)) > CG_TOL * np.max(np.abs(z)):
+            break
+        z, lam = z - dz, lam - dlam
+    if not at_round_off:
         raise SolveError(
             f"refined residual is not at round-off: stationarity {stationarity:.3e} against "
             f"terms up to {grad:.3e}, constraints {feasibility:.3e} against terms up to {rows:.3e}"
@@ -325,7 +330,7 @@ def solve(qp: DiscreteQp) -> QpSolution:
         kkt_residual=stationarity,
         feasibility=feasibility,
         multipliers=lam,
-        kkt_condition=_ritz_ratio(alphas, betas),
+        kkt_condition=_ritz_ratio(*cg[0]),
         kkt_rank_deficiency=qp.grid.n_t + 1,  # one boundary split per time node
-        iterations=len(alphas) + len(refinement),
+        iterations=sum(len(alphas) for alphas, _ in cg),
     )

@@ -33,12 +33,11 @@ from gegopt.cli import (
     RunConfig,
     RunRecord,
     _build_parser,
-    _dump_matrices,
-    _fill,
+    _format16e,
     _parse_range,
     _stage,
+    _write_csv,
     _write_profiles_csv,
-    _write_solution_csv,
     emit_profiles,
     main,
     parse_initial_profile,
@@ -164,6 +163,11 @@ class TestRunSingle:
         with pytest.raises(ConfigError):
             run_single(reference_ocp(), 4, 4, 0.0, eval_grid=1)
 
+    def test_rejects_alpha_outside_window_before_any_rule(self, monkeypatch):
+        monkeypatch.setattr(cli, "sgg_rule", None)  # never reached
+        with pytest.raises(ConfigError, match="outside the window"):
+            run_single(reference_ocp(), 4, 4, 2.0)
+
     def test_solution_does_not_keep_the_assembled_qp(self):
         # A sweep keeps every cell's solution: it holds no array of the
         # dense program's O(N^4) size, and the program reassembles on read.
@@ -208,8 +212,9 @@ class TestRunSweep:
 
     def test_failed_cell_recorded_not_raised(self):
         # So close to the window's lower edge the refined residual stays far
-        # above round-off, so that cell fails in the solve.
-        config = RunConfig(n_y=(4,), alphas=(-0.4999999, 0.0), sweep=True)
+        # above round-off at N = 5 (4e-11 of its scale after four correction
+        # steps), so that cell fails in the solve.
+        config = RunConfig(n_y=(5,), alphas=(-0.4999999, 0.0), sweep=True)
         records, solutions = run_sweep(config)
         assert len(records) == 2
         failed = [r for r in records if r.error]
@@ -217,7 +222,7 @@ class TestRunSweep:
         assert failed[0].alpha == -0.4999999
         assert failed[0].error.startswith("refined residual is not at round-off: stationarity ")
         assert math.isnan(failed[0].j)
-        assert (4, 4, 0.0) in solutions
+        assert (5, 5, 0.0) in solutions
 
     def test_eval_grid_below_two_rejected_before_any_cell(self, tmp_path):
         out = tmp_path / "o"
@@ -233,7 +238,7 @@ class TestRunSweep:
 
     def test_failure_text_reads_back_from_report(self, tmp_path, capsys):
         # The message contains commas, so report.csv must quote it.
-        assert main(["--Ny", "4", "--alpha=-0.4999999", "--out", str(tmp_path)]) == 2
+        assert main(["--Ny", "5", "--alpha=-0.4999999", "--out", str(tmp_path)]) == 2
         printed = capsys.readouterr().out.strip().split("FAILED: ", 1)[1]
         assert ", constraints " in printed
         with (tmp_path / "report.csv").open(newline="") as fh:
@@ -535,10 +540,13 @@ class TestArtifactBytes:
         size = path.stat().st_size
         assert peak <= 4 * size, f"peak {peak / size:.2f} x the file's {size} bytes"
 
-    def test_row_formatter_special_values(self):
+    def test_row_formatter_special_values(self, tmp_path):
         values = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 0.1]
         col = np.array(values)[:, None]
-        got = _fill("v,%.16e,%.16e\r\n" * len(values), np.hstack([col, -col]))
+        path = tmp_path / "rows.csv"
+        _write_csv(path, b"", [(np.array([b"v"]), np.zeros(len(values), int))],
+                   np.hstack([col, -col]))
+        got = path.read_bytes().decode()
         buf = io.StringIO(newline="")
         writer = csv.writer(buf)
         for v in values:
@@ -550,63 +558,71 @@ class TestArtifactBytes:
         assert [math.copysign(1.0, v) for v in parsed] == [math.copysign(1.0, v) for v in values]
 
 
-def _assert_no_child_process():
-    """This process has no child left, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def _percent_fields(values):
+    return [b"%.16e" % v for v in np.ravel(values).tolist()]
 
 
-def _exit_writer(*args):
-    os._exit(3)
+def _fields(cells):
+    return [cell.replace(b"\0", b"") for cell in cells.tolist()]
 
 
-class TestWriterPool:
-    """With an output directory, a sweep's cell files are written by writer
-    processes, each of which is joined before `run_sweep` returns or raises."""
+class TestFormat16e:
+    """`_format16e` gives the bytes of `b"%.16e" % v` for every double."""
 
-    def test_files_equal_in_process_writers_around_a_failed_cell(self, tmp_path, monkeypatch):
-        out, ref = tmp_path / "out", tmp_path / "ref"
-        main_pid, fill = os.getpid(), cli._fill
+    EDGES = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+             9.999999999999999e16, 1e16, 1e17, 1e23, 1e100, 1e-100, 0.1, 0.5, 1.0,
+             9.5, 0.15, 1.0000000000000002, 0.9999999999999999]
 
-        def fill_in_a_worker(template, values):
-            assert os.getpid() != main_pid, "a cell file was formatted in the main process"
-            return fill(template, values)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_edge_values(self, sign):
+        values = sign * np.array(self.EDGES)
+        assert _fields(_format16e(values)) == _percent_fields(values)
+        assert _fields(_format16e(-np.zeros(1))) == [b"-0.0000000000000000e+00"]
 
-        monkeypatch.setattr(cli, "_fill", fill_in_a_worker)
-        # alpha = -0.4999999 fails in the solve at every N, so the cells run
-        # failed, solved, failed, solved.
-        config = RunConfig(n_y=(4, 5), alphas=(-0.4999999, 0.3), sweep=True, out=out,
-                           eval_grid=11, dump_matrices=True)
-        records, solutions = run_sweep(config)
-        monkeypatch.undo()
-        _assert_no_child_process()
-        assert [bool(r.error) for r in records] == [True, False, True, False]
-        ref.mkdir()
-        for (n_y, n_t, alpha), sol in solutions.items():
-            tag = f"{n_y}_{alpha:g}"
-            rule_y, rule_t = sol.transcription.rule_y, sol.transcription.rule_t
-            _write_solution_csv(ref / f"solution_{tag}.csv", rule_y.nodes, rule_t.nodes,
-                                sol.phi, sol.u, sol.x)
-            _write_profiles_csv(ref / f"profiles_{tag}.csv", rule_y, rule_t, sol.x, sol.u, 11)
-            qp = sol.transcription.qp
-            _dump_matrices(ref / f"matrices_{tag}", qp.H, qp.Q, qp.b, qp.c, qp.j0, n_y, n_t)
-        files = sorted(str(p.relative_to(ref)) for p in ref.rglob("*") if p.is_file())
-        assert len(files) == 2 * (2 + 5)
-        written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
-        assert written == sorted([*files, "config.json", "report.csv"])
+    @pytest.mark.parametrize("draw", ["bit patterns", "normals", "scaled normals"])
+    def test_matches_percent_on_random_values(self, draw):
+        rng = np.random.default_rng(29)
+        n = 200_000
+        if draw == "bit patterns":  # nan, inf and subnormals included
+            values = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64)
+            values[:4] = [np.nan, np.inf, -np.inf, 4e-320]
+        elif draw == "normals":
+            values = rng.standard_normal(n)
+        else:
+            values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301, n)
+        got, want = _fields(_format16e(values)), _percent_fields(values)
+        mismatches = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+        assert not mismatches, mismatches[:5]
+
+    def test_fallback_for_every_value_writes_the_same_files(self, tmp_path, monkeypatch):
+        config = dict(n_y=(4, 5), alphas=(-0.2, 0.9), sweep=True, eval_grid=11, dump_matrices=True)
+        run_sweep(RunConfig(out=tmp_path / "own", **config))
+        monkeypatch.setattr(cli, "_MANTISSA_BITS", 10**6)
+        monkeypatch.setattr(cli, "_format_tables", None)  # never reached
+        run_sweep(RunConfig(out=tmp_path / "fallback", **config))
+        files = sorted(p.relative_to(tmp_path / "own") for p in (tmp_path / "own").rglob("*.csv"))
+        assert len(files) == 4 * (2 + 4) + 1
         for name in files:
-            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+            if name.name != "report.csv":
+                own = (tmp_path / "own" / name).read_bytes()
+                assert own == (tmp_path / "fallback" / name).read_bytes(), name
+
+
+class TestSweepWrites:
+    """A sweep writes each solved cell's files before it solves the next
+    cell, and report.csv and config.json after the last."""
 
     def test_failed_write_raises_and_leaves_no_report(self, tmp_path):
         (tmp_path / "solution_5_0.csv").mkdir()
         config = RunConfig(n_y=(4, 5, 6), sweep=True, out=tmp_path, eval_grid=11)
         with pytest.raises(IsADirectoryError):
             run_sweep(config)
+        assert (tmp_path / "profiles_4_0.csv").exists()
+        assert not (tmp_path / "solution_6_0.csv").exists()
         assert not (tmp_path / "report.csv").exists()
         assert not (tmp_path / "config.json").exists()
-        _assert_no_child_process()
 
-    def test_interrupted_sweep_leaves_no_worker(self, tmp_path, monkeypatch):
+    def test_interrupted_sweep_keeps_earlier_files(self, tmp_path, monkeypatch):
         solve_cell = run_single
 
         def interrupt_at_five(ocp, n_y, *args):
@@ -617,15 +633,8 @@ class TestWriterPool:
         monkeypatch.setattr(cli, "run_single", interrupt_at_five)
         with pytest.raises(KeyboardInterrupt):
             run_sweep(RunConfig(n_y=(4, 5, 6), sweep=True, out=tmp_path, eval_grid=11))
-        _assert_no_child_process()
+        assert (tmp_path / "solution_4_0.csv").exists()
         assert (tmp_path / "profiles_4_0.csv").exists()
-        assert not (tmp_path / "report.csv").exists()
-
-    def test_writer_exit_raises_and_leaves_no_report(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_write_cell_files", _exit_writer)
-        with pytest.raises(RuntimeError, match=r"writer process \d+ (exited with code 3|has exited)"):
-            run_sweep(RunConfig(n_y=(4, 5, 6), sweep=True, out=tmp_path, eval_grid=11))
-        _assert_no_child_process()
         assert not (tmp_path / "report.csv").exists()
 
 
@@ -768,7 +777,7 @@ class TestRuntimeDependencies:
         assert _modules_loaded_by_a_run(["scipy"], tmp_path) == "[]"
 
     def test_sweep_loads_no_process_pool_machinery(self, tmp_path):
-        # The writer pool forks with os and pickle alone.  Importing
+        # A sweep writes its files in its own process.  Importing
         # concurrent.futures.process costs a fresh process 5-8 ms and added
         # about 1.5 MB to a paper_sweep run's peak RSS.
         assert _modules_loaded_by_a_run(["concurrent", "multiprocessing"], tmp_path) == "[]"

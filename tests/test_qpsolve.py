@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 from conftest import null_space_oracle
+from perfbench import oracle
 
 from gegopt.polycore import BasisSpec
 from gegopt.nodes import sgg_rule
 from gegopt.transcribe import DiffusionOcp, DiscreteQp, Transcription, build
 from gegopt import qpsolve
+from gegopt.cli import run_single
 from gegopt.qpsolve import QpSolution, SolveError, solve
 
 
@@ -278,6 +280,15 @@ class TestCondensedSolve:
         assert np.abs(got.ravel() - want[:size]).max() <= 1e-14 * np.abs(want[:size]).max()
         flux = zeta[:, :-1] @ qp.w_y
         assert np.abs(flux - want[size:]).max() <= 1e-14 * np.abs(want[size:]).max()
+
+    @pytest.mark.parametrize("alpha", [-0.4, 0.0])
+    def test_grid_of_200_solves_to_the_exact_optimum(self, alpha):
+        """Two correction steps leave the full residual at 2e-6 (alpha =
+        -0.4) and 1.6e-11 (alpha = 0) of its scale here; a third reaches
+        round-off, and J then matches the modal optimum."""
+        ocp = DiffusionOcp(length=4.0, t_final=1.0, r1=0.5, r2=0.5, initial=lambda y: 1.0 + y)
+        record, _ = run_single(ocp, 200, 200, alpha)
+        assert oracle.normalized_error(record.j, 1.0, 1.0) <= 1e-10
 
     @pytest.mark.parametrize("n, alpha", [(10, 20.0), (12, 15.0)])
     def test_residual_gate_rejects_large_alpha(self, n, alpha):
