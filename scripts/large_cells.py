@@ -16,6 +16,7 @@ $ python3 scripts/large_cells.py
 
 import argparse
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -55,11 +56,14 @@ def _cap_memory() -> None:
 
 
 def run_cell(n: int, j_star: float) -> str:
+    """Solve the N = n cell in a fresh process that finds gegopt under
+    src/; return its result line, or why it failed."""
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, str(n), str(ALPHA)],
         capture_output=True,
         text=True,
         check=False,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)])),
         preexec_fn=_cap_memory,
     )
     if proc.returncode != 0:

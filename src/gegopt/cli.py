@@ -13,7 +13,7 @@ A sweep runs a grid of cells, writes each solved cell's solution and
 profile files as soon as it solves, then one report row per cell, and
 keeps going when individual cells fail (recording the failure in the
 report).  Every computed CSV field is `%.16e`, converted from NumPy arrays
-by `_format16e`.  Exit codes: 0 all cells solved,
+in float64 alone by `_format16e`.  Exit codes: 0 all cells solved,
 1 configuration error, 2 sweep finished with at least one failed cell.
 """
 
@@ -238,12 +238,12 @@ def _cell_tag(n_y: int, n_t: int, alpha: float) -> str:
 #: Bytes of one %.16e field: "-1.2345678901234567e-308" at most.
 _FIELD = 24
 
-#: 10^k is tabled for |k| <= _POWERS, past 16 - E for every double.
-_POWERS = 350
+#: 10^k is tabled for |k| <= _POWERS, past 16 - E for every |v| in _RANGE.
+_POWERS = 300
 
-#: Mantissa bits np.longdouble needs for `_format16e`'s own digits (x87
-#: has 63); with fewer, as where it is float64, every value goes to %.
-_MANTISSA_BITS = 63
+#: The |v| `_format16e` converts itself, where none of its products can
+#: overflow or lose bits to underflow; the rest go to %.
+_RANGE = (1e-280, 1e280)
 
 #: Bytes of text `_write_csv` assembles at a time: about 2,400 profile rows.
 _BLOCK_BYTES = 1 << 18
@@ -251,10 +251,14 @@ _BLOCK_BYTES = 1 << 18
 
 @functools.cache
 def _format_tables() -> tuple[np.ndarray, ...]:
-    """By i = k + _POWERS: 10^k in np.longdouble, parsed from "1e{k}" so
-    that it is correctly rounded, the tie window and the exponent 16 - k;
-    then the 4-byte words "[-]d.d", "dddd" and "ddde"."""
-    ks = np.arange(-_POWERS, _POWERS + 1)
+    """By i = k + _POWERS: 10^k as hh + hl + lo in float64, to 2^-106
+    relative, hh and hl of 26 bits each, and the exponent 16 - k; then the
+    4-byte words "[-]d.d", "dddd" and "ddde"."""
+    from fractions import Fraction  # on first use: runs that write no file skip its 2 ms load
+    ks = range(-_POWERS, _POWERS + 1)
+    hi = np.array([float(Fraction(10) ** k) for k in ks])
+    lo = [float(Fraction(10) ** k - Fraction(h)) for k, h in zip(ks, hi.tolist())]
+    c = 134217729.0 * hi  # Veltkamp's 2^27 + 1
     words = (
         [b"%+03d" % (16 - k) for k in ks],
         [b"%s%d.%d" % (sign, d // 10, d % 10) for sign in (b"\0", b"-") for d in range(100)],
@@ -262,8 +266,7 @@ def _format_tables() -> tuple[np.ndarray, ...]:
         [b"%03de" % d for d in range(1_000)],
     )
     return (
-        np.array([f"1e{k}" for k in ks], dtype=np.longdouble),
-        np.where((ks >= 0) & (ks <= 27), 0.006, 0.03),
+        c - (c - hi), hi - (c - (c - hi)), np.array(lo),
         *(np.array(w, dtype="S4").view(np.uint32) for w in words),
     )
 
@@ -271,42 +274,39 @@ def _format_tables() -> tuple[np.ndarray, ...]:
 def _format16e(values: np.ndarray) -> np.ndarray:
     """`b"%.16e" % v` for each value, NUL-padded to _FIELD bytes.
 
-    With E = floor(log10|v|), s = |v| 10^(16 - E) in np.longdouble lies in
-    [1e16, 1e17) after at most one correction of E, within 0.004 of a last
-    digit where 10^(16 - E) is exact (0 <= 16 - E <= 27) and 0.011
-    elsewhere.  Rounded half-up, s gives the 17 correctly rounded digits
-    unless its fraction is within a wider window of 1/2 (Steele & White,
-    PLDI 1990; Gay, AT&T NAM 90-10, 1990).  Those near-ties, zero, nan and
-    inf go to % in one batched call.
+    E = floor(log10|v| - 1e-12) is the exponent of |v| or one less, so
+    x = |v| 10^(16 - E) lies in [1e16, 1e18).  x = s + e, s an integer, is
+    Dekker's exact product of |v| and hh + hl (Numer. Math. 18, 1971) plus
+    |v| lo, within 1e-13.  Rounded half-up, x, or x/10 where x rounds to 18
+    digits, gives the 17 correctly rounded digits unless its fraction is
+    within 1e-9 of 1/2 (Steele & White, PLDI 1990).  Those near-ties and
+    |v| outside _RANGE (zero, nan and inf included) go to % in one call.
     """
     v = np.ravel(np.asarray(values, dtype=np.float64))
     out = np.empty((v.size, _FIELD // 4), np.uint32)
-    fallback = ~np.isfinite(v) | (v == 0.0)
-    if np.finfo(np.longdouble).nmant < _MANTISSA_BITS:
-        fallback[:] = True
-    else:
-        powers, windows, exps, heads, quads, tails = _format_tables()
-        a = np.where(fallback, 1.0, np.abs(v))
-        i = _POWERS + 16 - np.floor(np.log10(a)).astype(np.intp)
-        s = a.astype(np.longdouble) * powers[i]
-        off = np.flatnonzero((s < 1e16) | (s >= 1e17))
-        i[off] += np.where(s[off] < 1e16, 1, -1)
-        s[off] = a[off] * powers[i[off]]
-        off = off[(s[off] < 1e16) | (s[off] >= 1e17)]
-        fallback[off], s[off] = True, 1e16
-        q = s.astype(np.uint64)
-        frac = (s - q).astype(np.float64)
-        fallback |= np.abs(frac - 0.5) <= windows[i]
-        q += frac > 0.5
-        carry = np.flatnonzero(q == 10**17)
-        q[carry], i[carry] = 10**16, i[carry] - 1
-        head, r = np.divmod(q, 10**15)
-        out[:, 0] = heads[np.where(v < 0.0, head + 100, head)]
-        out[:, 1] = quads[r // 10**11]
-        out[:, 2] = quads[r // 10**7 % 10**4]
-        out[:, 3] = quads[r // 10**3 % 10**4]
-        out[:, 4] = tails[r % 10**3]
-        out[:, 5] = exps[i]
+    a = np.abs(v)
+    fallback = ~((a > _RANGE[0]) & (a < _RANGE[1]))
+    a[fallback] = 1.0
+    hh, hl, lo, exps, heads, quads, tails = _format_tables()
+    i = _POWERS + 16 - np.floor(np.log10(a) - 1e-12).astype(np.intp)
+    c = 134217729.0 * a
+    ah, h, l = c - (c - a), hh[i], hl[i]
+    al, p = a - ah, a * (h + l)
+    e = (ah * h - p + ah * l + al * h) + al * l + a * lo[i]
+    s = p + e
+    e -= s - p
+    q, frac = s.astype(np.int64) + np.floor(e).astype(np.int64), e - np.floor(e)
+    long = np.flatnonzero(q + (frac > 0.5) >= 10**17)  # not s: 1e23 gives s = 1e17
+    frac[long], q[long], i[long] = (q[long] % 10 + frac[long]) / 10, q[long] // 10, i[long] - 1
+    fallback |= np.abs(frac - 0.5) <= 1e-9
+    q += frac > 0.5
+    head, r = np.divmod(q, 10**15)
+    out[:, 0] = heads[np.where(v < 0.0, head + 100, head)]
+    out[:, 1] = quads[r // 10**11]
+    out[:, 2] = quads[r // 10**7 % 10**4]
+    out[:, 3] = quads[r // 10**3 % 10**4]
+    out[:, 4] = tails[r % 10**3]
+    out[:, 5] = exps[i]
     rest = np.flatnonzero(fallback)
     if rest.size:
         text = (b"%.16e\n" * rest.size % tuple(v[rest].tolist())).split()

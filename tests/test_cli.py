@@ -9,6 +9,7 @@ point, the scripts' help text and the modules a fresh process loads.
 from __future__ import annotations
 
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -45,6 +46,7 @@ from gegopt.cli import (
     run_sweep,
 )
 from gegopt.interp import eval2d_grid
+from perfbench import oracle
 
 
 class TestInitialProfileParsing:
@@ -594,11 +596,37 @@ class TestFormat16e:
         mismatches = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
         assert not mismatches, mismatches[:5]
 
+    def test_near_and_exact_ties(self):
+        """Random 18-digit decimals ending in 5 lie near halfway between two
+        17-digit outputs; m/4 for an odd m in [2^52, 2^53) lies exactly
+        halfway, and % rounds it to even."""
+        rng = np.random.default_rng(31)
+        digits = rng.integers(10**16, 10**17, 50_000) * 10 + 5
+        exponents = rng.integers(-250, 251, digits.size) - 17
+        near = [float(f"{d}e{k}") for d, k in zip(digits.tolist(), exponents.tolist())]
+        exact = (rng.integers(2**51, 2**52, 10_000) * 2 + 1) / rng.choice([4.0, 8.0], 10_000)
+        values = np.concatenate([near, exact])
+        values[::2] *= -1.0
+        assert _fields(_format16e(values)) == _percent_fields(values)
+
+    def test_range_cut_subnormals_and_powers_of_ten(self):
+        """Both sides of _RANGE's bounds, subnormals, and the 101 doubles
+        around each power of ten, where s can round up to 1e17 (1e23)."""
+        low, high = cli._RANGE
+        tiny = 2.2250738585072014e-308  # the smallest normal double
+        edges = [low, high, tiny, 5e-324, 4e-320, 1.7976931348623157e308]
+        edges += [np.nextafter(b, t) for b in edges[:3] for t in (0.0, np.inf)]
+        powers = 10.0 ** np.arange(-300, 301)
+        around = (powers.view(np.int64) + np.arange(-50, 51)[:, None]).view(np.float64)
+        values = np.concatenate([edges, around.ravel()])
+        for sign in (1.0, -1.0):
+            assert _fields(_format16e(sign * values)) == _percent_fields(sign * values)
+        assert _fields(_format16e(np.array([1e23]))) == [b"9.9999999999999992e+22"]
+
     def test_fallback_for_every_value_writes_the_same_files(self, tmp_path, monkeypatch):
         config = dict(n_y=(4, 5), alphas=(-0.2, 0.9), sweep=True, eval_grid=11, dump_matrices=True)
         run_sweep(RunConfig(out=tmp_path / "own", **config))
-        monkeypatch.setattr(cli, "_MANTISSA_BITS", 10**6)
-        monkeypatch.setattr(cli, "_format_tables", None)  # never reached
+        monkeypatch.setattr(cli, "_RANGE", (np.inf, 0.0))  # no |v| inside: all go to %
         run_sweep(RunConfig(out=tmp_path / "fallback", **config))
         files = sorted(p.relative_to(tmp_path / "own") for p in (tmp_path / "own").rglob("*.csv"))
         assert len(files) == 4 * (2 + 4) + 1
@@ -800,6 +828,17 @@ class TestScripts:
         )
         assert proc.returncode == 0
         assert f"$ python3 scripts/{name}" in proc.stdout
+
+    def test_large_cells_child_finds_the_package(self, monkeypatch):
+        """The cell processes find gegopt without PYTHONPATH, as when the
+        script is run as its docstring says from an uninstalled checkout."""
+        spec = importlib.util.spec_from_file_location("large_cells", SCRIPTS / "large_cells.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        line = script.run_cell(8, oracle.modal_optimum(1.0, 1.0))
+        assert not line.startswith("failed"), line
+        assert "|J - J*| = " in line
 
 
 class TestRecordDefaults:
